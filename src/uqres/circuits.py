@@ -21,6 +21,7 @@ import numpy as np
 
 from . import qkernel as qk
 from .interference import Multiplexer
+from .protocols import PauliKey, pauli_pad
 from .qkernel import (CapExceededError, HilbertSpec, InvariantError, QuantumChannel,
                       StateVector)
 
@@ -43,28 +44,28 @@ class Gate:
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantError("gate matrix must be square")
-        if not np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=1e-10):
-            raise InvariantError(f"gate {self.name or ''} is not unitary")
+        qk._require_close(m.conj().T @ m, np.eye(m.shape[0]), qk.ATOL,
+                          f"gate {self.name or ''} is not unitary")
 
 
 @dataclass(frozen=True)
 class Mux:
-    """Multiplexer: branch i of ``branches`` acts on ``targets`` when the control
-    wire holds computational value i."""
+    """Multiplexer placed on wires: branch i of ``branches`` acts on ``targets``
+    when the control wire holds computational value i.
+
+    The branches are validated, and the block matrix on (control,) + targets
+    is built, by :class:`~uqres.interference.Multiplexer`.
+    """
     control: int
     branches: tuple[np.ndarray, ...]
     targets: tuple[int, ...]
+    multiplexer: Multiplexer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        brs = tuple(np.asarray(b, dtype=complex) for b in self.branches)
-        object.__setattr__(self, "branches", brs)
+        mux = Multiplexer(self.branches)
+        object.__setattr__(self, "multiplexer", mux)
+        object.__setattr__(self, "branches", mux.branches)
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        d = brs[0].shape[0]
-        for b in brs:
-            if b.shape != (d, d):
-                raise InvariantError("mux branches must be square and same-dimensional")
-            if not np.allclose(b.conj().T @ b, np.eye(d), atol=1e-10):
-                raise InvariantError("mux branch is not unitary")
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,10 @@ def _basis_matrix(basis, d: int) -> np.ndarray:
             return np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
         raise InvariantError(f"unknown basis {basis!r}")
     b = np.asarray(basis, dtype=complex)
-    if b.shape != (d, d) or not np.allclose(b.conj().T @ b, np.eye(d), atol=1e-10):
-        raise InvariantError("custom measurement basis must be a unitary of the wire dimension")
+    message = "custom measurement basis must be a unitary of the wire dimension"
+    if b.shape != (d, d):
+        raise InvariantError(message)
+    qk._require_close(b.conj().T @ b, np.eye(d), qk.ATOL, message)
     return b
 
 
@@ -216,7 +219,7 @@ def simulate(circuit: Circuit, input_state: StateVector,
             branches = [(rec, qk.apply_on_wires(a, ins.matrix, ins.wires, dims), p)
                         for rec, a, p in branches]
         elif isinstance(ins, Mux):
-            m = _mux_matrix(ins, dims)
+            m = ins.multiplexer.matrix
             ws = (ins.control,) + ins.targets
             branches = [(rec, qk.apply_on_wires(a, m, ws, dims), p) for rec, a, p in branches]
         elif isinstance(ins, Measure):
@@ -262,16 +265,6 @@ def simulate(circuit: Circuit, input_state: StateVector,
     return results
 
 
-def _mux_matrix(mux: Mux, dims) -> np.ndarray:
-    """Full matrix of a mux on (control,) + targets, control as leading factor."""
-    dc = dims[mux.control]
-    dt = mux.branches[0].shape[0]
-    m = np.zeros((dc * dt, dc * dt), dtype=complex)
-    for i, b in enumerate(mux.branches):
-        m[i * dt:(i + 1) * dt, i * dt:(i + 1) * dt] = b
-    return m
-
-
 def branch_kraus(circuit: Circuit) -> list[tuple[dict, np.ndarray]]:
     """Per-branch Kraus operators from the full input space to the surviving wires.
 
@@ -291,7 +284,7 @@ def branch_kraus(circuit: Circuit) -> list[tuple[dict, np.ndarray]]:
             g = lift(ins.matrix, ins.wires)
             branches = [(rec, g @ k) for rec, k in branches]
         elif isinstance(ins, Mux):
-            g = lift(_mux_matrix(ins, dims), (ins.control,) + ins.targets)
+            g = lift(ins.multiplexer.matrix, (ins.control,) + ins.targets)
             branches = [(rec, g @ k) for rec, k in branches]
         elif isinstance(ins, Measure):
             d = dims[ins.wire]
@@ -458,7 +451,7 @@ def contextual_from_lcu(target: np.ndarray, coeffs, unitaries,
     d1 = alpha.size
     d2 = us[0].shape[0]
     if prep is None:
-        u1 = _complete_column(alpha)
+        u1 = qk._dilate_isometry(alpha[:, None], [0])
     else:
         u1 = np.asarray(prep, dtype=complex)
         if np.abs(u1[:, 0] - alpha).max() > 1e-10:
@@ -476,23 +469,6 @@ def contextual_from_lcu(target: np.ndarray, coeffs, unitaries,
             raise InvariantError(f"branch {k} is not proportional to a unitary")
         corrections.append(target @ bk.conj().T / np.sqrt(scale))
     return contextual_circuit(u1, Multiplexer(tuple(us)), u2, corrections)
-
-
-def _complete_column(col: np.ndarray) -> np.ndarray:
-    v = col.reshape(-1, 1)
-    basis = [v[:, 0]]
-    n = v.shape[0]
-    for seed in range(n):
-        if len(basis) == n:
-            break
-        cand = np.zeros(n, dtype=complex)
-        cand[seed] = 1.0
-        for b in basis:
-            cand = cand - b * np.vdot(b, cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-7:
-            basis.append(cand / norm)
-    return np.column_stack(basis)
 
 
 def contextual_h() -> Circuit:
@@ -551,15 +527,6 @@ def t_injection() -> Circuit:
     ))
 
 
-def _pauli_power(a: int, b: int) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    if a:
-        m = qk.X @ m
-    if b:
-        m = qk.Z @ m
-    return m
-
-
 def encrypted_t_injection(key: tuple[int, int]) -> Circuit:
     """T injection on a one-time-padded input X^a Z^b |psi>, followed by decryption.
 
@@ -570,7 +537,7 @@ def encrypted_t_injection(key: tuple[int, int]) -> Circuit:
     a, b = int(key[0]) & 1, int(key[1]) & 1
     base = t_injection()
     s_pow = np.linalg.matrix_power(qk.S, a)
-    decrypt = s_pow @ _pauli_power(a, a ^ b).conj().T
+    decrypt = s_pow @ pauli_pad(PauliKey(a, a ^ b)).conj().T
     ins = base.instructions[:-1] + (Gate(decrypt, (1,), name="decrypt"),) + base.instructions[-1:]
     return Circuit(base.wires, ins)
 
@@ -578,7 +545,7 @@ def encrypted_t_injection(key: tuple[int, int]) -> Circuit:
 def lcu_circuit(coeffs, unitaries) -> Circuit:
     """Probabilistic prepare/select/unprepare circuit; control outcome 0 succeeds."""
     alpha, us, _ = _prep_amplitudes(coeffs, unitaries)
-    u1 = _complete_column(alpha)
+    u1 = qk._dilate_isometry(alpha[:, None], [0])
     return Circuit(HilbertSpec((alpha.size, us[0].shape[0])), (
         Gate(u1, (0,), name="prep"),
         Mux(0, tuple(us), (1,)),
@@ -592,15 +559,8 @@ def lcu_circuit(coeffs, unitaries) -> Circuit:
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
-def _mat_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _mat_from_json(rows) -> np.ndarray:
-    return np.array([[complex(v[0], v[1]) for v in row] for row in rows])
-
-
 def circuit_to_json(circuit: Circuit) -> dict:
+    enc = qk._encode_complex
     ops = []
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
@@ -608,52 +568,59 @@ def circuit_to_json(circuit: Circuit) -> dict:
             if ins.name and ins.name in qk.GATES and np.allclose(qk.GATES[ins.name], ins.matrix):
                 entry["name"] = ins.name
             else:
-                entry["matrix"] = _mat_to_json(ins.matrix)
+                entry["matrix"] = enc(ins.matrix)
             ops.append(entry)
         elif isinstance(ins, Mux):
             ops.append({"type": "mux", "control": ins.control,
-                        "branches": [_mat_to_json(b) for b in ins.branches],
+                        "branches": [enc(b) for b in ins.branches],
                         "targets": list(ins.targets)})
         elif isinstance(ins, Measure):
-            basis = ins.basis if isinstance(ins.basis, str) else _mat_to_json(ins.basis)
+            basis = ins.basis if isinstance(ins.basis, str) else enc(ins.basis)
             ops.append({"type": "measure", "wire": ins.wire, "basis": basis, "out": ins.out})
         elif isinstance(ins, Cond):
             ops.append({"type": "cond", "when": dict(ins.when),
                         "gate": {"wires": list(ins.gate.wires),
-                                 "matrix": _mat_to_json(ins.gate.matrix)}})
+                                 "matrix": enc(ins.gate.matrix)}})
         elif isinstance(ins, Discard):
             ops.append({"type": "discard", "wire": ins.wire})
     return {"wires": list(circuit.wires.dims), "ops": ops}
 
 
-def circuit_from_json(doc: dict) -> Circuit:
-    dims = tuple(int(d) for d in doc["wires"])
+def _gate_from_json(op: dict) -> Gate:
+    """Gate given by ``name`` (a key of ``qkernel.GATES``) or by ``matrix``."""
+    wires = tuple(op["wires"])
+    if "name" not in op:
+        return Gate(qk._decode_complex(op["matrix"], 2, "gate matrix"), wires)
+    name = op["name"].upper()
+    if name not in qk.GATES:
+        raise InvariantError(f"unknown gate name {op['name']!r}")
+    return Gate(qk.GATES[name], wires, name=name)
+
+
+def circuit_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> Circuit:
+    """Decode a circuit document; malformed structure raises ``ParseFailure``."""
+    dec = qk._decode_complex
     ins: list[Instruction] = []
-    for op in doc["ops"]:
-        kind = op["type"]
-        if kind == "gate":
-            if "name" in op:
-                mat = qk.GATES.get(op["name"].upper())
-                if mat is None:
-                    raise InvariantError(f"unknown gate name {op['name']!r}")
-                ins.append(Gate(mat, tuple(op["wires"]), name=op["name"].upper()))
+    with qk._parsing("circuit document"):
+        dims = tuple(int(d) for d in doc["wires"])
+        for op in doc["ops"]:
+            kind = op["type"]
+            if kind == "gate":
+                ins.append(_gate_from_json(op))
+            elif kind == "mux":
+                ins.append(Mux(int(op["control"]),
+                               tuple(dec(b, 2, "mux branch") for b in op["branches"]),
+                               tuple(op["targets"])))
+            elif kind == "measure":
+                basis = op.get("basis", "Z")
+                if not isinstance(basis, str):
+                    basis = dec(basis, 2, "measurement basis")
+                ins.append(Measure(int(op["wire"]), basis, op["out"]))
+            elif kind == "cond":
+                ins.append(Cond({k: int(v) for k, v in op["when"].items()},
+                                _gate_from_json(op["gate"])))
+            elif kind == "discard":
+                ins.append(Discard(int(op["wire"])))
             else:
-                ins.append(Gate(_mat_from_json(op["matrix"]), tuple(op["wires"])))
-        elif kind == "mux":
-            ins.append(Mux(int(op["control"]),
-                           tuple(_mat_from_json(b) for b in op["branches"]),
-                           tuple(op["targets"])))
-        elif kind == "measure":
-            basis = op.get("basis", "Z")
-            if not isinstance(basis, str):
-                basis = _mat_from_json(basis)
-            ins.append(Measure(int(op["wire"]), basis, op["out"]))
-        elif kind == "cond":
-            g = op["gate"]
-            ins.append(Cond({k: int(v) for k, v in op["when"].items()},
-                            Gate(_mat_from_json(g["matrix"]), tuple(g["wires"]))))
-        elif kind == "discard":
-            ins.append(Discard(int(op["wire"])))
-        else:
-            raise InvariantError(f"unknown op type {kind!r}")
-    return Circuit(HilbertSpec(dims), tuple(ins))
+                raise InvariantError(f"unknown op type {kind!r}")
+    return Circuit(HilbertSpec(dims, cap=cap), tuple(ins))

@@ -28,7 +28,7 @@ from . import measures as ms
 from . import protocols as pr
 from . import qkernel as qk
 from . import wigner as wg
-from .qkernel import CapExceededError, InvariantError, ResourceError, UqresError
+from .qkernel import CapExceededError, InvariantError, ParseFailure, ResourceError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -36,56 +36,34 @@ EXIT_INVARIANT = 3
 EXIT_CAP = 4
 
 
-class ParseFailure(UqresError):
-    """Malformed input file or unusable document structure."""
-
-
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _pair(z) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _from_pair(v) -> complex:
-    return complex(v[0], v[1])
-
-
-def vector_from_json(doc: dict) -> qk.StateVector:
-    try:
+def _decode_state(doc, key: str, rank: int, cap: int):
+    with qk._parsing("state document"):
         dims = tuple(int(d) for d in doc["dims"])
-        amps = np.array([_from_pair(v) for v in doc["amplitudes"]])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseFailure(f"bad state document: {exc}") from exc
-    return qk.StateVector(qk.HilbertSpec(dims), amps)
+        data = qk._decode_complex(doc[key], rank, key)
+    return qk.HilbertSpec(dims, cap=cap), data
+
+
+def vector_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> qk.StateVector:
+    return qk.StateVector(*_decode_state(doc, "amplitudes", 1, cap))
 
 
 def vector_to_json(state: qk.StateVector) -> dict:
     return {"dims": list(state.spec.dims),
-            "amplitudes": [_pair(z) for z in state.amplitudes]}
+            "amplitudes": qk._encode_complex(state.amplitudes)}
 
 
-def density_from_json(doc: dict) -> qk.DensityOperator:
-    if "amplitudes" in doc:
-        return vector_from_json(doc).density()
-    try:
-        dims = tuple(int(d) for d in doc["dims"])
-        mat = np.array([[_from_pair(v) for v in row] for row in doc["matrix"]])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseFailure(f"bad state document: {exc}") from exc
-    return qk.DensityOperator(qk.HilbertSpec(dims), mat)
+def density_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> qk.DensityOperator:
+    if isinstance(doc, dict) and "amplitudes" in doc:
+        return vector_from_json(doc, cap=cap).density()
+    return qk.DensityOperator(*_decode_state(doc, "matrix", 2, cap))
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    try:
-        return np.array([[_from_pair(v) for v in row] for row in rows])
-    except (TypeError, IndexError) as exc:
-        raise ParseFailure(f"bad matrix: {exc}") from exc
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    return qk._decode_complex(rows, 2, "matrix")
 
 
 def _load_json(path: str) -> dict:
@@ -117,8 +95,7 @@ def _emit(args, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_measure(args) -> int:
-    doc = _load_json(_one_input(args))
-    rho = density_from_json(doc)
+    rho = density_from_json(_load_json(_one_input(args)), cap=args.cap)
     wanted = [m.strip() for m in args.measures.split(",") if m.strip()]
     evaluators = {
         "l1": lambda: ms.l1_coherence(rho),
@@ -136,16 +113,15 @@ def cmd_measure(args) -> int:
 
 
 def cmd_interference(args) -> int:
-    doc = _load_json(_one_input(args))
-    circuit = qc.circuit_from_json(doc)
+    circuit = qc.circuit_from_json(_load_json(_one_input(args)), cap=args.cap)
     u = np.eye(circuit.wires.total_dim, dtype=complex)
     mux_layout = None
     for ins in circuit.instructions:
         if isinstance(ins, qc.Gate):
             u = qk.embed_operator(ins.matrix, ins.wires, circuit.wires.dims) @ u
         elif isinstance(ins, qc.Mux):
-            u = qk.embed_operator(qc._mux_matrix(ins, circuit.wires.dims),
-                                  (ins.control,) + ins.targets, circuit.wires.dims) @ u
+            u = qk.embed_operator(ins.multiplexer.matrix, (ins.control,) + ins.targets,
+                                  circuit.wires.dims) @ u
             mux_layout = ins
         else:
             raise InvariantError("interference analysis requires a unitary-only circuit")
@@ -155,7 +131,7 @@ def cmd_interference(args) -> int:
     whole_circuit_mux = (mux_layout is not None and len(circuit.wires.dims) == 2
                          and mux_layout.control == 0 and mux_layout.targets == (1,))
     if whole_circuit_mux:
-        cu = itf.Multiplexer(mux_layout.branches)
+        cu = mux_layout.multiplexer
         rng = np.random.default_rng(args.seed)
         v = qk.haar_unitary(cu.control_dim, rng)
         r1, r2 = itf.interference_additivity_check(v, cu)
@@ -165,8 +141,7 @@ def cmd_interference(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    doc = _load_json(_one_input(args))
-    rho = density_from_json(doc)
+    rho = density_from_json(_load_json(_one_input(args)), cap=args.cap)
     d = rho.spec.total_dim
     table = wg.wigner_function(rho, d)
     results = {"d": d,
@@ -179,9 +154,9 @@ def cmd_wigner(args) -> int:
 
 def cmd_circuit(args) -> int:
     paths = args.inputs
-    circuit = qc.circuit_from_json(_load_json(paths[0]))
+    circuit = qc.circuit_from_json(_load_json(paths[0]), cap=args.cap)
     if len(paths) > 1:
-        state = vector_from_json(_load_json(paths[1]))
+        state = vector_from_json(_load_json(paths[1]), cap=args.cap)
     else:
         state = qk.zero_state(circuit.wires.dims)
     branches = qc.simulate(circuit, state)
@@ -205,7 +180,7 @@ def cmd_protocol(args) -> int:
                                                     rng=rng),
                    "verdict": "pass"}
     elif name == "btt":
-        psi = (vector_from_json(config["state"]) if "state" in config
+        psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                else qk.random_state((2,), rng))
         key = pr.PauliKey(*config.get("key", (1, 1)))
         worst = 1.0
@@ -217,14 +192,11 @@ def cmd_protocol(args) -> int:
             transcripts_ok &= pr.lobc_violations(res.transcript) == 0
         results = {"min_fidelity": worst, "lobc_clean": bool(transcripts_ok),
                    "verdict": "pass" if worst >= 1 - 1e-10 and transcripts_ok else "fail"}
-        if results["verdict"] == "fail":
-            _emit(args, _report(args, results))
-            raise InvariantError("btt verification failed")
     elif name == "pmqc":
         programs = tuple(tuple(g) for g in config.get("programs", [["H", "T"]]))
         cz_after = tuple(config["cz_after"]) if "cz_after" in config else None
         nq = len(programs)
-        plaintext = (vector_from_json(config["state"]) if "state" in config
+        plaintext = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                      else qk.random_state((2,) * nq, rng))
         resources = None
         if "resources" in config:
@@ -242,12 +214,9 @@ def cmd_protocol(args) -> int:
                    "t_events": res.t_events,
                    "lobc_clean": pr.lobc_violations(res.transcript) == 0,
                    "verdict": "pass" if fid >= 1 - 1e-9 else "fail"}
-        if results["verdict"] == "fail":
-            _emit(args, _report(args, results))
-            raise InvariantError("pmqc verification failed")
     elif name == "mbqc":
         angles = [float(a) for a in config.get("angles", [0.0])]
-        psi = (vector_from_json(config["state"]) if "state" in config
+        psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                else qk.random_state((2,), rng))
         branches = pr.mbqc_gate(angles, psi, adaptive=bool(config.get("adaptive", True)))
         target = qk.StateVector(psi.spec, pr.mbqc_target(angles) @ psi.amplitudes)
@@ -257,6 +226,8 @@ def cmd_protocol(args) -> int:
     else:
         raise ParseFailure(f"unknown protocol {name!r}")
     _emit(args, _report(args, results))
+    if results["verdict"] == "fail":
+        raise InvariantError(f"{name} verification failed")
     return EXIT_OK
 
 
@@ -264,20 +235,21 @@ def cmd_hamiltonian(args) -> int:
     action = args.action
     if action == "stoquastic":
         doc = _load_json(_one_input(args))
-        h = (ham.termsum_from_json(doc) if "terms" in doc
-             else matrix_from_json(doc["matrix"]))
+        with qk._parsing("hamiltonian document"):
+            h = (ham.termsum_from_json(doc, cap=args.cap) if "terms" in doc
+                 else matrix_from_json(doc["matrix"]))
         results = {"stoquastic": ham.is_stoquastic(h)}
     elif action == "trotter":
-        doc = _load_json(_one_input(args))
-        terms = ham.termsum_from_json(doc)
+        terms = ham.termsum_from_json(_load_json(_one_input(args)), cap=args.cap)
         t, steps = float(args.time), int(args.steps)
         results = {"time": t, "steps": steps,
                    "error": ham.trotter_error(terms, t, steps),
                    "error_half_steps": ham.trotter_error(terms, t, max(1, steps // 2))}
     elif action == "hqca":
         doc = _load_json(_one_input(args))
-        layers = [{int(k): int(v) for k, v in layer.items()} for layer in doc["layers"]]
-        data = vector_from_json(doc["data"])
+        with qk._parsing("hqca document"):
+            layers = [{int(k): int(v) for k, v in layer.items()} for layer in doc["layers"]]
+            data = vector_from_json(doc["data"], cap=args.cap)
         out = ham.hqca_run(layers, data)
         direct = ham.hqca_direct(layers, data)
         fid = qk.state_fidelity(out, direct)
@@ -290,8 +262,9 @@ def cmd_hamiltonian(args) -> int:
                    "clock_probabilities": [float(p) for p in ham.clock_probabilities(hs)]}
     elif action == "gap":
         doc = _load_json(_one_input(args))
-        h0 = matrix_from_json(doc["h_start"])
-        h1 = matrix_from_json(doc["h_end"])
+        with qk._parsing("gap document"):
+            h0 = matrix_from_json(doc["h_start"])
+            h1 = matrix_from_json(doc["h_end"])
         scan = ham.adiabatic_gap_scan(h0, h1, int(args.grid))
         if args.out:
             with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -321,11 +294,11 @@ def cmd_algorithm(args) -> int:
              else qk.haar_unitary(2 ** n, rng))
         report = alg.one_control_report(u, eps)
     elif name == "lcu":
-        coeffs = np.array([_from_pair(v) for v in config.get(
-            "coeffs", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]])])
+        coeffs = qk._decode_complex(config.get(
+            "coeffs", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]), 1, "lcu coefficients")
         us = ([matrix_from_json(m) for m in config["unitaries"]]
               if "unitaries" in config else [qk.X, qk.Z])
-        psi = (vector_from_json(config["state"]) if "state" in config
+        psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                else qk.zero_state((us[0].shape[0],)))
         out, prob = alg.lcu_apply(coeffs, us, psi)
         report = alg.AlgorithmReport(

@@ -42,8 +42,7 @@ class HamiltonianTerm:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantError("term matrix must be square")
-        if not np.allclose(m, m.conj().T, atol=1e-10):
-            raise InvariantError("term matrix must be Hermitian within 1e-10")
+        qk._require_close(m, m.conj().T, qk.ATOL, "term matrix must be Hermitian within 1e-10")
         if len(set(self.support)) != len(self.support):
             raise InvariantError("term support has repeated sites")
 
@@ -79,8 +78,7 @@ def assemble(terms: TermSum) -> np.ndarray:
 def is_stoquastic(h, basis: np.ndarray | None = None, tol: float = 1e-10) -> bool:
     """True iff all off-diagonal entries are real and non-positive in the basis."""
     m = assemble(h) if isinstance(h, TermSum) else np.asarray(h, dtype=complex)
-    if not np.allclose(m, m.conj().T, atol=1e-9):
-        raise InvariantError("stoquasticity is defined for Hermitian matrices")
+    qk._require_close(m, m.conj().T, 1e-9, "stoquasticity is defined for Hermitian matrices")
     if basis is not None:
         b = np.asarray(basis, dtype=complex)
         m = b.conj().T @ m @ b
@@ -126,8 +124,7 @@ def simulation_error(h_prime: np.ndarray, h: np.ndarray, encode: np.ndarray,
     h_prime = np.asarray(h_prime, dtype=complex)
     h = np.asarray(h, dtype=complex)
     v = np.asarray(encode, dtype=complex)
-    if not np.allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-9):
-        raise InvariantError("encode is not an isometry")
+    qk._require_close(v.conj().T @ v, np.eye(v.shape[1]), 1e-9, "encode is not an isometry")
     vals, vecs = np.linalg.eigh(h_prime)
     low = vecs[:, vals <= delta]
     if low.shape[1] == 0:
@@ -328,17 +325,17 @@ def min_gap(scan: list[tuple[float, float]]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def termsum_to_json(terms: TermSum) -> dict:
-    def mat(m):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
     return {"dims": list(terms.spec.dims),
             "terms": [{"sites": list(t.support), "j": float(t.weight),
-                       "matrix": mat(t.matrix)} for t in terms.terms]}
+                       "matrix": qk._encode_complex(t.matrix)} for t in terms.terms]}
 
 
-def termsum_from_json(doc: dict) -> TermSum:
-    def mat(rows):
-        return np.array([[complex(v[0], v[1]) for v in row] for row in rows])
-    spec = HilbertSpec(tuple(int(d) for d in doc["dims"]))
-    terms = tuple(HamiltonianTerm(tuple(t["sites"]), mat(t["matrix"]), float(t["j"]))
-                  for t in doc["terms"])
-    return TermSum(spec, terms)
+def termsum_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> TermSum:
+    """Decode a term-sum document; malformed structure raises ``ParseFailure``."""
+    with qk._parsing("term-sum document"):
+        dims = tuple(int(d) for d in doc["dims"])
+        terms = tuple(HamiltonianTerm(tuple(t["sites"]),
+                                      qk._decode_complex(t["matrix"], 2, "term matrix"),
+                                      float(t["j"]))
+                      for t in doc["terms"])
+    return TermSum(HilbertSpec(dims, cap=cap), terms)

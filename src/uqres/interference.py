@@ -44,8 +44,8 @@ class Multiplexer:
         for b in brs:
             if b.shape != (d2, d2):
                 raise InvariantError("multiplexer branches must be square and same-dimensional")
-            if not np.allclose(b.conj().T @ b, np.eye(d2), atol=1e-10):
-                raise InvariantError("multiplexer branch is not unitary")
+            qk._require_close(b.conj().T @ b, np.eye(d2), qk.ATOL,
+                              "multiplexer branch is not unitary")
 
     @property
     def control_dim(self) -> int:
@@ -86,8 +86,8 @@ class DualState:
         if self.kind == "classical":
             d1, d2 = self.state.spec.dims
             control = qk.partial_trace(self.state, [0])
-            if not np.allclose(control.matrix, np.eye(d1) / d1, atol=1e-9):
-                raise InvariantError("classical dual: control marginal is not maximally mixed")
+            qk._require_close(control.matrix, np.eye(d1) / d1, 1e-9,
+                              "classical dual: control marginal is not maximally mixed")
             m = self.state.matrix.reshape(d1, d2, d1, d2)
             for i in range(d1):
                 for j in range(d1):

@@ -8,7 +8,8 @@ Coherence is always relative to the computational basis; pass a basis-change
 unitary explicitly to measure in another basis.  Minimizations over infinite
 free sets are implemented in closed form where one exists (relative-entropy
 coherence over incoherent states) and as finite-sample upper bounds elsewhere;
-reports produced from the sampled minimizations carry ``upper_bound=True``.
+a :class:`MeasureReport` built from a sampled minimization sets
+``upper_bound=True``.
 """
 
 from __future__ import annotations
@@ -164,13 +165,6 @@ def set_distance(resources, free: FreeSetSample, metric: str = "trace") -> float
     if not resources:
         raise InvariantError("set_distance needs a nonempty resource list")
     return max(distance_resource(r, free, metric) for r in resources)
-
-
-def distance_resource_report(rho, free: FreeSetSample, metric: str = "trace") -> MeasureReport:
-    return MeasureReport(measure=f"distance_resource[{metric}]",
-                         value=distance_resource(rho, free, metric),
-                         basis=free.label or "sampled free set",
-                         upper_bound=True)
 
 
 def incoherent_sample(d: int, include_mixed: bool = True, label: str = "incoherent") -> FreeSetSample:

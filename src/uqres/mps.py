@@ -219,38 +219,6 @@ def left_canonicalize(chain: MPSChain) -> MPSChain:
     return MPSChain(tuple(new_tensors), new_boundary)
 
 
-def _dilate_isometry(v: np.ndarray, positions) -> np.ndarray:
-    """Complete an isometry to a unitary, pinning column j of v at ``positions[j]``.
-
-    Deterministic: missing columns come from Gram-Schmidt over the identity
-    seed basis, so repeated runs build the same circuit.
-    """
-    rows, cols = v.shape
-    u = np.zeros((rows, rows), dtype=complex)
-    filled = []
-    for j, pos in enumerate(positions):
-        u[:, pos] = v[:, j]
-        filled.append(v[:, j])
-    free_cols = [k for k in range(rows) if k not in set(positions)]
-    idx = 0
-    for seed in range(rows):
-        if idx == len(free_cols):
-            break
-        cand = np.zeros(rows, dtype=complex)
-        cand[seed] = 1.0
-        for b in filled:
-            cand = cand - b * np.vdot(b, cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-7:
-            cand = cand / norm
-            u[:, free_cols[idx]] = cand
-            filled.append(cand)
-            idx += 1
-    if idx != len(free_cols):
-        raise InvariantError("failed to complete isometry to a unitary")
-    return u
-
-
 def _max_entangled_pair(d: int) -> np.ndarray:
     """d^{-1/2} sum_i |ii> amplitudes; degenerate d = 1 allowed for trivial bonds."""
     amps = np.zeros(d * d, dtype=complex)
@@ -285,7 +253,7 @@ def sequential_prepare_detailed(chain: MPSChain,
                 col[:, i] = t[i][:, b]
             v[:, b] = col.reshape(-1)      # row-major (bond', site)
         # Input |b>|0> sits at flat index b * d_site in the (bond, site) block.
-        u = _dilate_isometry(v, [b * d_site for b in range(d_bond)])
+        u = qk._dilate_isometry(v, [b * d_site for b in range(d_bond)])
         grown = np.zeros(len(amps) * d_site, dtype=complex)
         grown[::d_site] = amps             # fresh site appended in |0>
         amps = grown
@@ -398,29 +366,19 @@ def graph_stabilizer_expectations(g: GraphSpec, state: StateVector) -> list[floa
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
-def _c2pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def mps_to_json(chain: MPSChain) -> dict:
-    d_bond = chain.bond_dim
     return {
         "N": chain.n_sites,
         "d": chain.phys_dims[0],
-        "D": d_bond,
-        "tensors": [[[[_c2pair(t[i][r, c]) for c in range(d_bond)]
-                      for r in range(d_bond)]
-                     for i in range(t.shape[0])] for t in chain.tensors],
-        "boundary": [[_c2pair(chain.boundary[r, c]) for c in range(d_bond)]
-                     for r in range(d_bond)],
+        "D": chain.bond_dim,
+        "tensors": [qk._encode_complex(t) for t in chain.tensors],
+        "boundary": qk._encode_complex(chain.boundary),
     }
 
 
 def mps_from_json(doc: dict) -> MPSChain:
-    def pair(v):
-        return complex(v[0], v[1])
-    tensors = []
-    for site in doc["tensors"]:
-        tensors.append(np.array([[[pair(v) for v in row] for row in mat] for mat in site]))
-    boundary = np.array([[pair(v) for v in row] for row in doc["boundary"]])
-    return MPSChain(tuple(tensors), boundary)
+    """Decode an MPS document; malformed structure raises ``ParseFailure``."""
+    with qk._parsing("MPS document"):
+        tensors = tuple(qk._decode_complex(site, 3, "site tensor") for site in doc["tensors"])
+        boundary = qk._decode_complex(doc["boundary"], 2, "boundary")
+    return MPSChain(tensors, boundary)

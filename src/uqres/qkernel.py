@@ -7,7 +7,9 @@ never mutated afterwards.  All entropies and logarithms in this package are base
 Conventions:
   - Subsystem order is big-endian: the leftmost subsystem in ``dims`` is the most
     significant digit of the composite basis index (wire 0 = top wire).
-  - Invariant tolerances are 1e-10 unless a type states otherwise.
+  - Invariant tolerances are 1e-10 unless a type states otherwise.  They are
+    absolute: a check fails when max|a - b| exceeds the tolerance, with no
+    relative slack (``rtol = 0``).
   - Eigenvalues of density operators in [-1e-10, 0] are clamped to 0 before
     entropies are taken.
 """
@@ -15,8 +17,8 @@ Conventions:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -39,6 +41,16 @@ class CapExceededError(UqresError):
 
 class ResourceError(UqresError):
     """A protocol resource (ebit, PR box) is missing or already consumed."""
+
+
+class ParseFailure(UqresError):
+    """Malformed input file or unusable document structure."""
+
+
+def _require_close(a, b, atol: float, message: str) -> None:
+    """Raise :class:`InvariantError` unless max|a - b| <= atol (no relative slack)."""
+    if not np.abs(a - b).max(initial=0.0) <= atol:
+        raise InvariantError(message)
 
 
 def _as_complex_array(data, shape_hint: str) -> np.ndarray:
@@ -135,8 +147,7 @@ class DensityOperator:
         d = self.spec.total_dim
         if mat.shape != (d, d):
             raise InvariantError(f"density matrix has shape {mat.shape}, expected ({d}, {d})")
-        if not np.allclose(mat, mat.conj().T, atol=1e-10):
-            raise InvariantError("density matrix not Hermitian within 1e-10")
+        _require_close(mat, mat.conj().T, ATOL, "density matrix not Hermitian within 1e-10")
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > 1e-10:
             raise InvariantError(f"density matrix trace {tr!r} != 1")
@@ -171,8 +182,7 @@ class UnitaryOp:
         d = self.spec.total_dim
         if mat.shape != (d, d):
             raise InvariantError(f"unitary has shape {mat.shape}, expected ({d}, {d})")
-        if not np.allclose(mat.conj().T @ mat, np.eye(d), atol=1e-10):
-            raise InvariantError("matrix is not unitary within 1e-10")
+        _require_close(mat.conj().T @ mat, np.eye(d), ATOL, "matrix is not unitary within 1e-10")
 
     @property
     def dim(self) -> int:
@@ -205,8 +215,8 @@ class QuantumChannel:
                 raise InvariantError(
                     f"Kraus operator has shape {k.shape}, expected ({dout}, {din})")
         acc = sum(k.conj().T @ k for k in ks)
-        if not np.allclose(acc, np.eye(din), atol=KRAUS_ATOL):
-            raise InvariantError("Kraus completeness sum K†K != 1 within 1e-9")
+        _require_close(acc, np.eye(din), KRAUS_ATOL,
+                       "Kraus completeness sum K†K != 1 within 1e-9")
 
     @property
     def is_square(self) -> bool:
@@ -328,10 +338,6 @@ def tensor(a, b):
         return UnitaryOp(a.spec * b.spec, np.kron(a.matrix, b.matrix))
     raise InvariantError(
         f"tensor requires matching kinds, got {type(a).__name__} and {type(b).__name__}")
-
-
-def tensor_all(values):
-    return reduce(tensor, values)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -464,17 +470,44 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _dilate_isometry(v: np.ndarray, positions) -> np.ndarray:
+    """Complete an isometry to a unitary, pinning column j of v at ``positions[j]``.
+
+    Deterministic: missing columns come from Gram-Schmidt over the identity
+    seed basis, so repeated runs build the same circuit.
+    """
+    rows = v.shape[0]
+    u = np.zeros((rows, rows), dtype=complex)
+    filled = []
+    for j, pos in enumerate(positions):
+        u[:, pos] = v[:, j]
+        filled.append(v[:, j])
+    taken = set(positions)
+    free_cols = [k for k in range(rows) if k not in taken]
+    idx = 0
+    for seed in range(rows):
+        if idx == len(free_cols):
+            break
+        cand = np.zeros(rows, dtype=complex)
+        cand[seed] = 1.0
+        for b in filled:
+            cand = cand - b * np.vdot(b, cand)
+        norm = np.linalg.norm(cand)
+        if norm > 1e-7:
+            cand = cand / norm
+            u[:, free_cols[idx]] = cand
+            filled.append(cand)
+            idx += 1
+    if idx != len(free_cols):
+        raise InvariantError("failed to complete isometry to a unitary")
+    return u
+
+
 # Fidelity and comparison ----------------------------------------------------
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for pure states."""
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def fidelity_with_pure(psi: StateVector, rho: DensityOperator) -> float:
-    """<psi| rho |psi>."""
-    v = psi.amplitudes
-    return float((v.conj() @ rho.matrix @ v).real)
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -508,3 +541,38 @@ def random_density(d: int, rng: np.random.Generator, rank: int | None = None) ->
     m = g @ g.conj().T
     m /= np.trace(m).real
     return DensityOperator(_single(d), m)
+
+
+# JSON codec -----------------------------------------------------------------
+# Complex arrays are written as nested lists whose innermost entries are
+# [re, im] pairs of numbers; both directions are exact, signed zeros included.
+
+@contextmanager
+def _parsing(what: str):
+    """Turn the errors of reading a malformed document into :class:`ParseFailure`."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseFailure(f"bad {what}: {exc!r}") from exc
+
+
+def _encode_complex(a) -> list:
+    """Nested ``[re, im]`` lists for a complex array of any rank."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def _decode_complex(data, rank: int, what: str) -> np.ndarray:
+    """Rank-``rank`` complex array from nested ``[re, im]`` pairs (inverse of the encoder).
+
+    Missing or ragged nesting, non-numeric entries and entries that are not
+    pairs raise :class:`ParseFailure`.  An empty list decodes to an empty
+    array, which the domain types then reject as an invariant violation.
+    """
+    with _parsing(what):
+        arr = np.array(data)
+        if arr.size == 0:
+            return np.zeros((0,) * rank, dtype=complex)
+        if arr.dtype.kind not in "iuf" or arr.shape[-1:] != (2,) or arr.ndim != rank + 1:
+            raise ValueError(f"expected a rank-{rank} array of [re, im] number pairs")
+        return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]

@@ -146,12 +146,6 @@ def stabilizer_states(d: int) -> StabilizerStateSet:
     return StabilizerStateSet(d, 1, tuple(states))
 
 
-def stabilizer_sample(d: int) -> ms.FreeSetSample:
-    """Stabilizer states packaged as a free-set sample for distance measures."""
-    sts = stabilizer_states(d)
-    return ms.FreeSetSample(tuple(s.density() for s in sts.states), label=f"STAB(d={d})")
-
-
 def qubit_magic_coherence_proxy(rho: DensityOperator | StateVector) -> float:
     """l1 coherence as the qubit-magic proxy (no qubit Wigner monotone exists here)."""
     return ms.l1_coherence(rho)

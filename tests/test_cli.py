@@ -252,3 +252,75 @@ def test_make_goldens_contents(tmp_path):
     assert max(doc["results"]["qutrit_stabilizer_mana"]) < 1e-12
     assert doc["results"]["chsh_win_rate"] == 1.0
     assert (out / "gap_scan_unit_norm_z_to_x.csv").exists()
+
+
+# Malformed documents exit 2 -------------------------------------------------
+
+def _bell_ops():
+    return [{"type": "gate", "name": "H", "wires": [0]},
+            {"type": "gate", "name": "CX", "wires": [0, 1]}]
+
+
+MALFORMED = {
+    "circuit-without-wires": ("circuit", {"ops": _bell_ops()}),
+    "measure-without-out": ("circuit", {"wires": [2, 2], "ops": _bell_ops() + [
+        {"type": "measure", "wire": 0, "basis": "Z"}]}),
+    "stoquastic-ragged-matrix": ("hamiltonian stoquastic", {"matrix": [
+        [[0.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0]]]}),
+    "term-without-j": ("hamiltonian trotter", {"dims": [2], "terms": [
+        {"sites": [0], "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}]}),
+    "amplitude-with-three-numbers": ("measure", {"dims": [2], "amplitudes": [
+        [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2(tmp_path, case):
+    command, doc = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    assert run(command.split() + ["--in", str(path)]) == 2
+
+
+def test_cond_gate_given_by_name_runs(tmp_path, capsys):
+    circ = tmp_path / "teleport.json"
+    write_json(circ, {"wires": [2, 2], "ops": [
+        {"type": "gate", "name": "H", "wires": [1]},
+        {"type": "gate", "name": "CZ", "wires": [0, 1]},
+        {"type": "measure", "wire": 0, "basis": "X", "out": "s"},
+        {"type": "cond", "when": {"s": 1}, "gate": {"name": "X", "wires": [1]}},
+        {"type": "discard", "wire": 0},
+    ]})
+    assert run(["circuit", "--in", str(circ)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # H|0> = |+> on both branches once the X fix is applied on s = 1
+    r = 2 ** -0.5
+    for b in doc["results"]["branches"]:
+        amps = [complex(*a) for a in b["state"]["amplitudes"]]
+        assert abs(abs(np.vdot([r, r], amps)) - 1.0) < 1e-12
+
+
+# --cap is enforced -----------------------------------------------------------
+
+def test_circuit_cap_flag_exits_4(tmp_path):
+    circ = tmp_path / "six.json"
+    write_json(circ, {"wires": [2] * 6,
+                      "ops": [{"type": "gate", "name": "H", "wires": [0]}]})
+    assert run(["circuit", "--in", str(circ), "--cap", "4"]) == 4
+
+
+def test_measure_cap_flag_exits_4(tmp_path):
+    state = tmp_path / "three.json"
+    write_json(state, {"dims": [2, 2, 2],
+                       "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 7})
+    assert run(["measure", "--in", str(state), "--cap", "4"]) == 4
+
+
+# Failed verdicts exit 3 -------------------------------------------------------
+
+def test_protocol_mbqc_failing_verdict_exits_3_with_report(tmp_path):
+    config = tmp_path / "mbqc.json"
+    write_json(config, {"angles": [0.3, 1.1], "adaptive": False})
+    out = tmp_path / "report.json"
+    assert run(["protocol", "mbqc", "--config", str(config), "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["results"]["verdict"] == "fail"

@@ -1,0 +1,249 @@
+"""Property tests: exact JSON round-trips and absolute tolerance boundaries."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uqres import circuits as qc
+from uqres import cli
+from uqres import hamiltonian as ham
+from uqres import mps
+from uqres import qkernel as qk
+from uqres.interference import Multiplexer
+from uqres.qkernel import InvariantError
+
+SMALL = settings(max_examples=25, deadline=None)
+
+# Finite floats with signed zeros drawn often, so -0.0 is exercised on every run.
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
+
+
+def complex_arrays(shape):
+    n = int(np.prod(shape))
+    pairs = st.lists(st.tuples(FLOATS, FLOATS), min_size=n, max_size=n)
+    return pairs.map(lambda ps: np.array([complex(*p) for p in ps],
+                                         dtype=complex).reshape(shape))
+
+
+def via_text(doc):
+    return json.loads(json.dumps(doc))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def nonzero_vector(v):
+    return np.abs(v).max() > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Codec round-trips
+# ---------------------------------------------------------------------------
+
+@SMALL
+@given(st.integers(1, 3).flatmap(lambda r: st.lists(st.integers(1, 3), min_size=r,
+                                                    max_size=r))
+       .flatmap(lambda shape: complex_arrays(tuple(shape))))
+def test_codec_round_trip_any_rank(a):
+    back = qk._decode_complex(via_text(qk._encode_complex(a)), a.ndim, "array")
+    assert same_bits(back, a)
+
+
+def test_codec_keeps_signed_zero_and_infinity():
+    a = np.array([complex(-0.0, 1.0), complex(1.0, np.inf), complex(-0.0, -0.0)])
+    back = qk._decode_complex(via_text(qk._encode_complex(a)), 1, "array")
+    assert same_bits(back, a)
+
+
+@pytest.mark.parametrize("data", [
+    [[1.0, 0.0, 0.5]],
+    [[1.0, 0.0], [1.0]],
+    [["1", "0"]],
+    [[None, 0.0]],
+    [1.0, 0.0],
+    {"re": 1.0},
+], ids=["triple", "ragged", "strings", "null", "bare-numbers", "object"])
+def test_codec_rejects_malformed_entries(data):
+    with pytest.raises(qk.ParseFailure):
+        qk._decode_complex(data, 1, "amplitudes")
+
+
+@SMALL
+@given(complex_arrays((4,)).filter(nonzero_vector))
+def test_state_round_trip_is_bit_exact(v):
+    psi = qk.StateVector(qk.HilbertSpec((2, 2)), v / np.linalg.norm(v))
+    back = cli.vector_from_json(via_text(cli.vector_to_json(psi)))
+    assert back.spec == psi.spec
+    assert same_bits(back.amplitudes, psi.amplitudes)
+
+
+@SMALL
+@given(complex_arrays((3,)).filter(nonzero_vector),
+       complex_arrays((3,)).filter(nonzero_vector), st.floats(0.0, 1.0))
+def test_density_round_trip_is_bit_exact(u, v, p):
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    rho = qk.DensityOperator(qk.HilbertSpec((3,)), p * np.outer(u, u.conj())
+                             + (1 - p) * np.outer(v, v.conj()))
+    doc = {"dims": [3], "matrix": qk._encode_complex(rho.matrix)}
+    back = cli.density_from_json(via_text(doc))
+    assert same_bits(back.matrix, rho.matrix)
+
+
+GATE_NAMES = sorted(n for n, m in qk.GATES.items() if m.shape == (2, 2))
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ins = []
+    for _ in range(draw(st.integers(0, 3))):
+        w = draw(st.integers(0, n - 1))
+        name = draw(st.sampled_from(GATE_NAMES))
+        if draw(st.booleans()):
+            ins.append(qc.Gate(qk.GATES[name], (w,), name=name))
+        else:   # unnamed, so the matrix (Y carries signed zeros) goes to JSON
+            ins.append(qc.Gate(qk.GATES[name], (w,)))
+    ins.append(qc.Mux(0, (qk.haar_unitary(2, rng), qk.GATES["Y"]), (1,)))
+    basis = draw(st.sampled_from(["Z", "X", "custom"]))
+    ins.append(qc.Measure(0, qk.haar_unitary(2, rng) if basis == "custom" else basis, "m"))
+    ins.append(qc.Cond({"m": 1}, qc.Gate(qk.haar_unitary(2, rng), (1,))))
+    ins.append(qc.Discard(0))
+    return qc.Circuit(qk.HilbertSpec((2,) * n), tuple(ins))
+
+
+def instruction_arrays(circuit):
+    out = []
+    for ins in circuit.instructions:
+        if isinstance(ins, qc.Gate):
+            out.append(ins.matrix)
+        elif isinstance(ins, qc.Mux):
+            out.extend(ins.branches)
+        elif isinstance(ins, qc.Measure) and not isinstance(ins.basis, str):
+            out.append(ins.basis)
+        elif isinstance(ins, qc.Cond):
+            out.append(ins.gate.matrix)
+    return out
+
+
+@SMALL
+@given(circuits())
+def test_circuit_round_trip_is_bit_exact(circuit):
+    doc = qc.circuit_to_json(circuit)
+    back = qc.circuit_from_json(via_text(doc))
+    assert qc.circuit_to_json(back) == doc
+    assert [type(i) for i in back.instructions] == [type(i) for i in circuit.instructions]
+    pairs = zip(instruction_arrays(back), instruction_arrays(circuit), strict=True)
+    assert all(same_bits(a, b) for a, b in pairs)
+
+
+def hermitian(a):
+    return (a + a.conj().T) / 2
+
+
+@SMALL
+@given(complex_arrays((4, 4)), complex_arrays((2, 2)), FLOATS)
+def test_termsum_round_trip_is_bit_exact(a, b, j):
+    terms = ham.TermSum(qk.HilbertSpec((2, 2)), (
+        ham.HamiltonianTerm((1, 0), hermitian(a), j),
+        ham.HamiltonianTerm((1,), hermitian(b), 1.0),
+        ham.HamiltonianTerm((0,), qk.Y, -0.0)))
+    back = ham.termsum_from_json(via_text(ham.termsum_to_json(terms)))
+    assert back.spec == terms.spec
+    for t, u in zip(back.terms, terms.terms, strict=True):
+        assert t.support == u.support
+        assert same_bits(t.weight, u.weight)
+        assert same_bits(t.matrix, u.matrix)
+
+
+@SMALL
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_mps_round_trip_is_bit_exact(n_sites, d_bond, data):
+    tensors = tuple(data.draw(complex_arrays((data.draw(st.integers(1, 3)), d_bond, d_bond)))
+                    for _ in range(n_sites))
+    chain = mps.MPSChain(tensors, data.draw(complex_arrays((d_bond, d_bond))))
+    back = mps.mps_from_json(via_text(mps.mps_to_json(chain)))
+    assert same_bits(back.boundary, chain.boundary)
+    for t, u in zip(back.tensors, chain.tensors, strict=True):
+        assert same_bits(t, u)
+
+
+# ---------------------------------------------------------------------------
+# Tolerance boundaries: 2x the documented tolerance is rejected, 0.5x accepted
+# ---------------------------------------------------------------------------
+
+def scaled_unitary(rng, d, delta):
+    """U with U†U = (1 + delta) 1, up to rounding."""
+    return qk.haar_unitary(d, rng) * np.sqrt(1 + delta)
+
+
+def mixed(d):
+    return np.eye(d, dtype=complex) / d
+
+
+def _state_norm(rng, d, delta):
+    v = qk.random_state((d,), rng).amplitudes * np.sqrt(1 + delta)
+    qk.StateVector(qk.HilbertSpec((d,)), v)
+
+
+def _density_trace(rng, d, delta):
+    qk.DensityOperator(qk.HilbertSpec((d,)), mixed(d) * (1 + delta))
+
+
+def _density_hermitian(rng, d, delta):
+    m = mixed(d)
+    m[0, 1] += delta * np.exp(2j * np.pi * rng.random())
+    qk.DensityOperator(qk.HilbertSpec((d,)), m)
+
+
+def _density_positive(rng, d, delta):
+    m = mixed(d)
+    m[0, 0] = -delta
+    m[1, 1] += 1 / d + delta
+    qk.DensityOperator(qk.HilbertSpec((d,)), m)
+
+
+def _unitary(rng, d, delta):
+    qk.UnitaryOp(qk.HilbertSpec((d,)), scaled_unitary(rng, d, delta))
+
+
+def _channel(rng, d, delta):
+    u, w = scaled_unitary(rng, d, delta), scaled_unitary(rng, d, delta)
+    spec = qk.HilbertSpec((d,))
+    qk.QuantumChannel(spec, spec, (np.sqrt(0.3) * u, np.sqrt(0.7) * w))
+
+
+def _gate(rng, d, delta):
+    qc.Gate(scaled_unitary(rng, d, delta), (0,))
+
+
+def _multiplexer(rng, d, delta):
+    Multiplexer((qk.haar_unitary(d, rng), scaled_unitary(rng, d, delta)))
+
+
+BOUNDARIES = {
+    "StateVector-norm": (_state_norm, qk.ATOL),
+    "DensityOperator-trace": (_density_trace, qk.ATOL),
+    "DensityOperator-hermitian": (_density_hermitian, qk.ATOL),
+    "DensityOperator-eigenvalue": (_density_positive, qk.ATOL),
+    "UnitaryOp": (_unitary, qk.ATOL),
+    "QuantumChannel": (_channel, qk.KRAUS_ATOL),
+    "Gate": (_gate, qk.ATOL),
+    "Multiplexer": (_multiplexer, qk.ATOL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARIES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 4]))
+def test_tolerance_is_absolute(case, seed, d):
+    build, tol = BOUNDARIES[case]
+    build(np.random.default_rng(seed), d, 0.5 * tol)
+    with pytest.raises(InvariantError):
+        build(np.random.default_rng(seed), d, 2 * tol)
