@@ -95,7 +95,11 @@ def _emit(args, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_measure(args) -> int:
-    rho = density_from_json(_load_json(_one_input(args)), cap=args.cap)
+    doc = _load_json(_one_input(args))
+    # A pure state stays a StateVector, so the measures take their closed forms.
+    rho = (vector_from_json(doc, cap=args.cap)
+           if isinstance(doc, dict) and "amplitudes" in doc
+           else density_from_json(doc, cap=args.cap))
     wanted = [m.strip() for m in args.measures.split(",") if m.strip()]
     evaluators = {
         "l1": lambda: ms.l1_coherence(rho),
@@ -125,9 +129,8 @@ def cmd_interference(args) -> int:
             mux_layout = ins
         else:
             raise InvariantError("interference analysis requires a unitary-only circuit")
-    results = {"relative_entropy": itf.interference_power(u, "relative_entropy"),
-               "l1": itf.interference_power(u, "l1"),
-               "log": itf.interference_power(u, "log")}
+    op = qk.UnitaryOp(circuit.wires, u)     # checked once for all three measures
+    results = {m: itf.interference_power(op, m) for m in ("relative_entropy", "l1", "log")}
     whole_circuit_mux = (mux_layout is not None and len(circuit.wires.dims) == 2
                          and mux_layout.control == 0 and mux_layout.targets == (1,))
     if whole_circuit_mux:
@@ -174,15 +177,30 @@ def cmd_protocol(args) -> int:
     rng = np.random.default_rng(args.seed)
     config = _load_json(args.config) if args.config else {}
     name = args.name
+    # Every config key is read here, so a malformed config exits 2.
+    with qk._parsing("protocol config"):
+        if name == "chsh":
+            rounds = int(config.get("rounds", 1000))
+        else:
+            state = (vector_from_json(config["state"], cap=args.cap) if "state" in config
+                     else None)
+        if name == "btt":
+            key = pr.PauliKey(*config.get("key", (1, 1)))
+        elif name == "pmqc":
+            programs = tuple(tuple(g) for g in config.get("programs", [["H", "T"]]))
+            cz_after = tuple(config["cz_after"]) if "cz_after" in config else None
+            resources = (pr.PMQCResources(int(config["resources"]["ebits"]),
+                                          int(config["resources"]["pr_boxes"]))
+                         if "resources" in config else None)
+        elif name == "mbqc":
+            angles = [float(a) for a in config.get("angles", [0.0])]
+            adaptive = bool(config.get("adaptive", True))
     if name == "chsh":
         results = {"win_rate_exhaustive": pr.chsh_game(),
-                   "win_rate_sampled": pr.chsh_game(rounds=int(config.get("rounds", 1000)),
-                                                    rng=rng),
+                   "win_rate_sampled": pr.chsh_game(rounds=rounds, rng=rng),
                    "verdict": "pass"}
     elif name == "btt":
-        psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
-               else qk.random_state((2,), rng))
-        key = pr.PauliKey(*config.get("key", (1, 1)))
+        psi = state if state is not None else qk.random_state((2,), rng)
         worst = 1.0
         transcripts_ok = True
         for prob, res in pr.btt_branches(psi, key):
@@ -193,15 +211,8 @@ def cmd_protocol(args) -> int:
         results = {"min_fidelity": worst, "lobc_clean": bool(transcripts_ok),
                    "verdict": "pass" if worst >= 1 - 1e-10 and transcripts_ok else "fail"}
     elif name == "pmqc":
-        programs = tuple(tuple(g) for g in config.get("programs", [["H", "T"]]))
-        cz_after = tuple(config["cz_after"]) if "cz_after" in config else None
         nq = len(programs)
-        plaintext = (vector_from_json(config["state"], cap=args.cap) if "state" in config
-                     else qk.random_state((2,) * nq, rng))
-        resources = None
-        if "resources" in config:
-            resources = pr.PMQCResources(int(config["resources"]["ebits"]),
-                                         int(config["resources"]["pr_boxes"]))
+        plaintext = state if state is not None else qk.random_state((2,) * nq, rng)
         src = pr.SamplingSource(rng)
         res = pr.pmqc_run(plaintext, programs, cz_after, source=src, resources=resources)
         dec = pr.decrypt_pads(res.output, res.keys)
@@ -215,10 +226,8 @@ def cmd_protocol(args) -> int:
                    "lobc_clean": pr.lobc_violations(res.transcript) == 0,
                    "verdict": "pass" if fid >= 1 - 1e-9 else "fail"}
     elif name == "mbqc":
-        angles = [float(a) for a in config.get("angles", [0.0])]
-        psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
-               else qk.random_state((2,), rng))
-        branches = pr.mbqc_gate(angles, psi, adaptive=bool(config.get("adaptive", True)))
+        psi = state if state is not None else qk.random_state((2,), rng)
+        branches = pr.mbqc_gate(angles, psi, adaptive=adaptive)
         target = qk.StateVector(psi.spec, pr.mbqc_target(angles) @ psi.amplitudes)
         fids = [qk.state_fidelity(b.corrected, target) for b in branches]
         results = {"branches": len(branches), "min_fidelity": min(fids),
@@ -242,9 +251,10 @@ def cmd_hamiltonian(args) -> int:
     elif action == "trotter":
         terms = ham.termsum_from_json(_load_json(_one_input(args)), cap=args.cap)
         t, steps = float(args.time), int(args.steps)
+        exact = ham.exact_evolve(terms, t)
         results = {"time": t, "steps": steps,
-                   "error": ham.trotter_error(terms, t, steps),
-                   "error_half_steps": ham.trotter_error(terms, t, max(1, steps // 2))}
+                   "error": ham.trotter_error(terms, t, steps, exact),
+                   "error_half_steps": ham.trotter_error(terms, t, max(1, steps // 2), exact)}
     elif action == "hqca":
         doc = _load_json(_one_input(args))
         with qk._parsing("hqca document"):
@@ -287,31 +297,37 @@ def cmd_algorithm(args) -> int:
     rng = np.random.default_rng(args.seed)
     config = _load_json(args.config) if args.config else {}
     name = args.name
+    # Every config key is read here, so a malformed config exits 2.
+    with qk._parsing("algorithm config"):
+        if name == "one-control":
+            n = int(config.get("qubits", 2))
+            eps = float(config.get("epsilon", 0.01))
+            u = matrix_from_json(config["u"]) if "u" in config else None
+        elif name == "lcu":
+            coeffs = qk._decode_complex(config.get(
+                "coeffs", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]), 1, "lcu coefficients")
+            us = ([matrix_from_json(m) for m in config["unitaries"]]
+                  if "unitaries" in config else [qk.X, qk.Z])
+            psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
+                   else qk.zero_state((us[0].shape[0],)))
+        elif name == "grover":
+            grover = (int(config.get("n", 2)), int(config.get("marked", 0)),
+                      int(config.get("iterations", 1)))
+        elif name == "sandwich":
+            d1 = int(config.get("control_dim", 2))
+            d2 = int(config.get("data_dim", 2))
     if name == "one-control":
-        n = int(config.get("qubits", 2))
-        eps = float(config.get("epsilon", 0.01))
-        u = (matrix_from_json(config["u"]) if "u" in config
-             else qk.haar_unitary(2 ** n, rng))
-        report = alg.one_control_report(u, eps)
+        report = alg.one_control_report(u if u is not None else qk.haar_unitary(2 ** n, rng),
+                                        eps)
     elif name == "lcu":
-        coeffs = qk._decode_complex(config.get(
-            "coeffs", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]), 1, "lcu coefficients")
-        us = ([matrix_from_json(m) for m in config["unitaries"]]
-              if "unitaries" in config else [qk.X, qk.Z])
-        psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
-               else qk.zero_state((us[0].shape[0],)))
         out, prob = alg.lcu_apply(coeffs, us, psi)
         report = alg.AlgorithmReport(
             algorithm="linear-combination-of-unitaries",
             parameters={"terms": len(us)},
             success_probabilities=(prob,))
     elif name == "grover":
-        report = alg.grover_report(int(config.get("n", 2)),
-                                   int(config.get("marked", 0)),
-                                   int(config.get("iterations", 1)))
+        report = alg.grover_report(*grover)
     elif name == "sandwich":
-        d1 = int(config.get("control_dim", 2))
-        d2 = int(config.get("data_dim", 2))
         cu = itf.Multiplexer(tuple(qk.haar_unitary(d2, rng) for _ in range(d1)))
         v, w = qk.haar_unitary(d1, rng), qk.haar_unitary(d1, rng)
         direct = alg.sandwiched_interference(v, cu, w)

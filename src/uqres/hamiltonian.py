@@ -87,31 +87,41 @@ def is_stoquastic(h, basis: np.ndarray | None = None, tol: float = 1e-10) -> boo
                 and off.real.max(initial=0.0) < tol)
 
 
+def _apply_local(m: np.ndarray, local: np.ndarray, wires, dims) -> np.ndarray:
+    """(local on ``wires``) @ m, contracting over m's row index without embedding local."""
+    k = len(wires)
+    sub = [dims[w] for w in wires]
+    out = np.tensordot(local.reshape(sub + sub), m.reshape(dims + (-1,)),
+                       axes=(list(range(k, 2 * k)), list(wires)))
+    return np.moveaxis(out, list(range(k)), list(wires)).reshape(m.shape)
+
+
 def trotter_evolve(terms: TermSum, t: float, steps: int) -> UnitaryOp:
     """First-order product (prod_k e^{i (t/steps) j_k h_k})^steps."""
     if steps < 1:
         raise InvariantError("steps must be >= 1")
-    d = terms.spec.total_dim
-    one = np.eye(d, dtype=complex)
-    step = one
+    step = np.eye(terms.spec.total_dim, dtype=complex)
     for term in terms.terms:
         local = qk.expm_hermitian(term.matrix, (t / steps) * term.weight)
-        step = qk.embed_operator(local, term.support, terms.spec.dims) @ step
-    total = one
-    for _ in range(steps):
-        total = step @ total
-    return UnitaryOp(terms.spec, total)
+        step = _apply_local(step, local, term.support, terms.spec.dims)
+    return qk._trusted(UnitaryOp, spec=terms.spec, matrix=np.linalg.matrix_power(step, steps))
 
 
 def exact_evolve(terms: TermSum, t: float) -> UnitaryOp:
     """e^{i H t} for the assembled sum (the Trotter comparison target)."""
-    return UnitaryOp(terms.spec, qk.expm_hermitian(assemble(terms), t))
+    return qk._trusted(UnitaryOp, spec=terms.spec,
+                       matrix=qk.expm_hermitian(assemble(terms), t))
 
 
-def trotter_error(terms: TermSum, t: float, steps: int) -> float:
-    """Spectral-norm distance between the Trotter product and e^{iHt}."""
-    return qk.spectral_norm(trotter_evolve(terms, t, steps).matrix
-                            - exact_evolve(terms, t).matrix)
+def trotter_error(terms: TermSum, t: float, steps: int,
+                  exact: UnitaryOp | None = None) -> float:
+    """Spectral-norm distance between the Trotter product and e^{iHt}.
+
+    ``exact`` may pass in ``exact_evolve(terms, t)`` when several step counts
+    are compared against the same target.
+    """
+    exact = exact_evolve(terms, t) if exact is None else exact
+    return qk.spectral_norm(trotter_evolve(terms, t, steps).matrix - exact.matrix)
 
 
 def simulation_error(h_prime: np.ndarray, h: np.ndarray, encode: np.ndarray,

@@ -4,6 +4,31 @@ Everything is dense, exact (up to float64), and immutable: states, operators and
 channels are validated against their defining invariants at construction time and
 never mutated afterwards.  All entropies and logarithms in this package are base 2.
 
+Validation happens once, where an object enters from the user: the public
+constructors, the JSON decoders, :func:`apply_unitary` (whose matrix is raw),
+:func:`random_density` and :func:`maximally_mixed` run the full checks, and a
+:class:`HilbertSpec` (with its cap check) is always built.  Results whose
+invariants follow from inputs that were already validated are built by the
+private ``_trusted`` constructor, which skips the O(d^3) eigenvalue, U†U and
+K†K checks:
+
+  - ``StateVector.density``: |psi><psi| of a normalized vector is Hermitian
+    (exactly, entry by entry), rank one and of unit trace;
+  - :func:`tensor` of two density operators or two unitaries;
+  - ``UnitaryOp.dagger`` and ``UnitaryOp.channel``;
+  - :func:`partial_trace`, :func:`apply_channel` and :func:`dephase` of a
+    validated state (with a validated channel);
+  - in other modules: the column outputs, Choi state and classical dual of a
+    validated channel (``interference``), and the Trotter product and e^{iHt}
+    of a Hermitian term sum (``hamiltonian``).
+
+Each holds its invariants up to float64 rounding of the validated inputs.  A
+channel's outputs inherit its Kraus completeness error (at most 1e-9) instead
+of being rechecked against the 1e-10 trace tolerance.
+
+A density operator's spectrum is computed at most once: the constructor's
+positivity check keeps it, and :meth:`DensityOperator.eigenvalues` reuses it.
+
 Conventions:
   - Subsystem order is big-endian: the leftmost subsystem in ``dims`` is the most
     significant digit of the composite basis index (wire 0 = top wire).
@@ -16,9 +41,11 @@ Conventions:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +87,31 @@ def _as_complex_array(data, shape_hint: str) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _trusted(cls, **values):
+    """Instance of a domain dataclass built without its invariant checks.
+
+    Only for objects that are valid by construction from validated inputs (see
+    the module docstring).  Arrays are frozen in place, not copied, so callers
+    pass arrays that nothing else writes to.
+    """
+    def frozen(a):
+        a = np.asarray(a, dtype=complex)
+        a.setflags(write=False)
+        return a
+
+    obj = object.__new__(cls)
+    for f in dataclasses.fields(cls):
+        value = values.get(f.name, f.default)
+        if value is dataclasses.MISSING:
+            raise TypeError(f"{cls.__name__} needs {f.name!r}")
+        if isinstance(value, np.ndarray):
+            value = frozen(value)
+        elif isinstance(value, tuple) and all(isinstance(v, np.ndarray) for v in value):
+            value = tuple(frozen(v) for v in value)
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +180,8 @@ class StateVector:
         return self.spec.total_dim
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(self.spec, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _trusted(DensityOperator, spec=self.spec,
+                        matrix=np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -151,7 +204,7 @@ class DensityOperator:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > 1e-10:
             raise InvariantError(f"density matrix trace {tr!r} != 1")
-        lo = float(np.linalg.eigvalsh(mat).min())
+        lo = float(self._spectrum.min())
         if lo < -1e-10:
             raise InvariantError(f"density matrix has negative eigenvalue {lo!r}")
 
@@ -159,10 +212,14 @@ class DensityOperator:
     def dim(self) -> int:
         return self.spec.total_dim
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Raw ascending spectrum, computed at most once per object."""
+        return np.linalg.eigvalsh(self.matrix)
+
     def eigenvalues(self) -> np.ndarray:
         """Clamped nonnegative spectrum (ascending)."""
-        vals = np.linalg.eigvalsh(self.matrix)
-        return np.where((vals < 0) & (vals >= -1e-10), 0.0, vals)
+        return _clamp_spectrum(self._spectrum)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -189,11 +246,12 @@ class UnitaryOp:
         return self.spec.total_dim
 
     def dagger(self) -> "UnitaryOp":
-        return UnitaryOp(self.spec, self.matrix.conj().T,
-                         name=None if self.name is None else self.name + "^dag")
+        return _trusted(UnitaryOp, spec=self.spec, matrix=self.matrix.conj().T,
+                        name=None if self.name is None else self.name + "^dag")
 
     def channel(self) -> "QuantumChannel":
-        return QuantumChannel(self.spec, self.spec, [self.matrix])
+        return _trusted(QuantumChannel, in_spec=self.spec, out_spec=self.spec,
+                        kraus=(self.matrix,))
 
 
 @dataclass(frozen=True)
@@ -333,11 +391,22 @@ def tensor(a, b):
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(a.spec * b.spec, np.kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(a.spec * b.spec, np.kron(a.matrix, b.matrix))
+        return _trusted(DensityOperator, spec=a.spec * b.spec, matrix=np.kron(a.matrix, b.matrix))
     if isinstance(a, UnitaryOp) and isinstance(b, UnitaryOp):
-        return UnitaryOp(a.spec * b.spec, np.kron(a.matrix, b.matrix))
+        return _trusted(UnitaryOp, spec=a.spec * b.spec, matrix=np.kron(a.matrix, b.matrix))
     raise InvariantError(
         f"tensor requires matching kinds, got {type(a).__name__} and {type(b).__name__}")
+
+
+def _keep_set(spec: HilbertSpec, keep) -> list[int]:
+    """Sorted, deduplicated subsystem indices; raises unless nonempty and in range."""
+    keep = sorted(set(int(k) for k in keep))
+    n = spec.n_subsystems
+    if not keep:
+        raise InvariantError("the kept subsystem set must be nonempty")
+    if any(k < 0 or k >= n for k in keep):
+        raise InvariantError(f"keep indices {keep} out of range for {n} subsystems")
+    return keep
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -346,12 +415,8 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     Kept subsystems appear in ascending index order regardless of the order
     they are listed in.
     """
-    keep = sorted(set(int(k) for k in keep))
+    keep = _keep_set(rho.spec, keep)
     n = rho.spec.n_subsystems
-    if not keep:
-        raise InvariantError("partial_trace needs a nonempty keep set")
-    if any(k < 0 or k >= n for k in keep):
-        raise InvariantError(f"keep indices {keep} out of range for {n} subsystems")
     dims = rho.spec.dims
     tens = rho.matrix.reshape(dims + dims)
     # Trace out complement pairwise, highest index first so positions stay valid.
@@ -363,8 +428,8 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         removed += 1
     kept_dims = tuple(dims[k] for k in keep)
     d_keep = int(np.prod(kept_dims))
-    return DensityOperator(HilbertSpec(kept_dims, cap=rho.spec.cap),
-                           traced.reshape(d_keep, d_keep))
+    return _trusted(DensityOperator, spec=HilbertSpec(kept_dims, cap=rho.spec.cap),
+                    matrix=traced.reshape(d_keep, d_keep))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -379,12 +444,23 @@ def shannon_entropy(p) -> float:
     return float(-(p * np.log2(p)).sum()) if p.size else 0.0
 
 
+def _shannon_rows(p: np.ndarray) -> np.ndarray:
+    """Base-2 Shannon entropy of each row of a nonnegative array (zeros skipped)."""
+    safe = np.where(p > 0, p, 1.0)
+    return -(safe * np.log2(safe)).sum(axis=-1)
+
+
+def _clamp_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues in [-1e-10, 0] set to 0 (the density-operator convention)."""
+    return np.where((vals < 0) & (vals >= -1e-10), 0.0, vals)
+
+
 def apply_channel(channel: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     if rho.spec.dims != channel.in_spec.dims:
         raise InvariantError(
             f"channel input dims {channel.in_spec.dims} do not match state dims {rho.spec.dims}")
     out = sum(k @ rho.matrix @ k.conj().T for k in channel.kraus)
-    return DensityOperator(channel.out_spec, out)
+    return _trusted(DensityOperator, spec=channel.out_spec, matrix=out)
 
 
 def apply_unitary(rho_or_psi, u: np.ndarray):
@@ -398,7 +474,7 @@ def apply_unitary(rho_or_psi, u: np.ndarray):
 
 def dephase(rho: DensityOperator) -> DensityOperator:
     """Completely dephasing channel: keep the computational-basis diagonal."""
-    return DensityOperator(rho.spec, np.diag(np.diag(rho.matrix)))
+    return _trusted(DensityOperator, spec=rho.spec, matrix=np.diag(np.diag(rho.matrix)))
 
 
 def dephasing_channel(d: int) -> QuantumChannel:

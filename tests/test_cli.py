@@ -324,3 +324,22 @@ def test_protocol_mbqc_failing_verdict_exits_3_with_report(tmp_path):
     out = tmp_path / "report.json"
     assert run(["protocol", "mbqc", "--config", str(config), "--out", str(out)]) == 3
     assert json.loads(out.read_text())["results"]["verdict"] == "fail"
+
+
+# Malformed --config documents exit 2 -----------------------------------------
+
+BAD_CONFIGS = {
+    "pmqc-resources-without-pr-boxes": (
+        "protocol pmqc", {"programs": [["H"]], "resources": {"ebits": 3}}),
+    "one-control-qubits-not-a-number": ("algorithm one-control", {"qubits": "two"}),
+    "chsh-rounds-not-a-number": ("protocol chsh", {"rounds": "many"}),
+    "mbqc-angles-not-a-list": ("protocol mbqc", {"angles": 0.3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_malformed_config_exits_2(tmp_path, case):
+    command, doc = BAD_CONFIGS[case]
+    path = tmp_path / "config.json"
+    write_json(path, doc)
+    assert run(command.split() + ["--config", str(path)]) == 2
