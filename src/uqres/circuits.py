@@ -1,9 +1,16 @@
 """Circuit IR with multiplexers, basis measurements and outcome-conditioned gates.
 
-Simulation enumerates every measurement branch exactly: a branch carries its
-outcome record, probability, and pure post-state on the surviving (undiscarded)
-wires.  A second walk extracts per-branch Kraus operators, which assemble the
-branch-averaged channel of a circuit for Choi-fidelity comparisons.
+One walk enumerates every measurement branch exactly, over an amplitude
+array with a trailing batch axis and with wire-local kernels only: no
+full-space operator is ever built.  A measurement rotates its wire into the
+measurement basis and splits it into one child per outcome, contracting the
+wire at once; a measured wire that survives gets its outcome's basis column
+back at the end.  The callers differ only in the columns they walk: one input
+state (:func:`simulate`, which reports each branch's outcome record,
+probability and pure post-state on the surviving wires), the identity
+(:func:`branch_kraus`, per-branch Kraus operators for Choi-fidelity
+comparisons, and :func:`circuit_unitary`) or the injected inputs of
+:func:`induced_channel`.
 
 Contextual circuits follow the control/data sandwich: prepare the control,
 apply a multiplexer onto the data, rotate the control, measure it in the
@@ -26,6 +33,7 @@ from .qkernel import (CapExceededError, HilbertSpec, InvariantError, QuantumChan
                       StateVector)
 
 BRANCH_CAP = 2 ** 16
+PRUNE = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -201,67 +209,89 @@ class BranchOutcome:
     state: StateVector
 
 
-def simulate(circuit: Circuit, input_state: StateVector,
-             branch_cap: int = BRANCH_CAP, prune: float = 1e-14) -> list[BranchOutcome]:
-    """Exhaustive branch enumeration with exact probabilities and post-states.
+def _walk(circuit: Circuit, columns: np.ndarray, branch_cap: int = BRANCH_CAP,
+          prune: float = PRUNE) -> list[tuple[dict, np.ndarray]]:
+    """Every measurement branch of ``circuit`` applied to the (D, B) array ``columns``.
 
-    Branches with probability below ``prune`` are dropped; the remaining
-    probabilities still sum to 1 up to that tolerance.
+    Gates act on their wires only.  A measurement rotates its wire by basis†
+    and splits it into one child per outcome, contracting the wire at once
+    (``Circuit`` forbids any later action on a measured wire); a child whose
+    squared norm is at most ``prune`` times its parent's is dropped.  Returns
+    (record, amplitudes) per branch, unnormalised, of shape (D_surv, B) over
+    the surviving wires: a measured wire that is not discarded holds its
+    outcome's basis column again.
     """
-    if input_state.spec.dims != circuit.wires.dims:
-        raise InvariantError("input state dims do not match circuit wires")
     dims = circuit.wires.dims
-    branches: list[tuple[dict, np.ndarray, float]] = [({}, input_state.amplitudes.copy(), 1.0)]
-    pending_discard: list[int] = []
+    live = list(range(len(dims)))           # original wire of each live axis
+    measured: dict[int, tuple[np.ndarray, str]] = {}
+    branches = [({}, columns)]
+
+    def on_live(a, m, wires):
+        return qk.apply_on_wires(a, m, [live.index(w) for w in wires],
+                                 [dims[w] for w in live])
 
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
-            branches = [(rec, qk.apply_on_wires(a, ins.matrix, ins.wires, dims), p)
-                        for rec, a, p in branches]
+            branches = [(rec, on_live(a, ins.matrix, ins.wires)) for rec, a in branches]
         elif isinstance(ins, Mux):
-            m = ins.multiplexer.matrix
-            ws = (ins.control,) + ins.targets
-            branches = [(rec, qk.apply_on_wires(a, m, ws, dims), p) for rec, a, p in branches]
+            wires = (ins.control,) + ins.targets
+            branches = [(rec, on_live(a, ins.multiplexer.matrix, wires)) for rec, a in branches]
+        elif isinstance(ins, Cond):
+            g = ins.gate
+            branches = [(rec, on_live(a, g.matrix, g.wires)
+                         if all(rec.get(k) == v for k, v in ins.when.items()) else a)
+                        for rec, a in branches]
         elif isinstance(ins, Measure):
-            d = dims[ins.wire]
-            b = _basis_matrix(ins.basis, d)
+            b = _basis_matrix(ins.basis, dims[ins.wire])
+            measured[ins.wire] = (b, ins.out)
+            pos = live.index(ins.wire)
+            live_dims = [dims[w] for w in live]
             new = []
-            for rec, a, p in branches:
-                for k in range(d):
-                    col = b[:, k]
-                    proj = np.outer(col, col.conj())
-                    a_k = qk.apply_on_wires(a, proj, [ins.wire], dims)
-                    pk = float(np.vdot(a_k, a_k).real)
-                    if pk > prune:
-                        new.append(({**rec, ins.out: k}, a_k / np.sqrt(pk), p * pk))
+            for rec, a in branches:
+                floor = prune * np.vdot(a, a).real
+                for k, child in enumerate(qk._measure_split(a, b, pos, live_dims)):
+                    if np.vdot(child, child).real > floor:
+                        new.append(({**rec, ins.out: k}, child))
             branches = new
+            live.pop(pos)
             if len(branches) > branch_cap:
                 raise CapExceededError(f"branch count exceeds cap {branch_cap}")
-        elif isinstance(ins, Cond):
-            branches = [
-                (rec,
-                 qk.apply_on_wires(a, ins.gate.matrix, ins.gate.wires, dims)
-                 if all(rec.get(k) == v for k, v in ins.when.items()) else a,
-                 p)
-                for rec, a, p in branches]
-        elif isinstance(ins, Discard):
-            pending_discard.append(ins.wire)
+        # A Discard needs no work: its wire was contracted when it was measured.
 
-    # Contract discarded wires: after measurement each holds a definite basis
-    # state, so the branch state factorizes exactly.
-    survivors = [w for w in range(len(dims)) if w not in pending_discard]
-    out_dims = tuple(dims[w] for w in survivors) if survivors else (1,)
-    spec = HilbertSpec(out_dims, cap=circuit.wires.cap)
-    basis_of = {m.wire: _basis_matrix(m.basis, dims[m.wire])
-                for m in circuit.instructions if isinstance(m, Measure)}
-    name_of = {m.wire: m.out for m in circuit.instructions if isinstance(m, Measure)}
+    surv = circuit.surviving_wires
+    kept = [w for w in surv if w in measured]
+    out = []
+    for rec, a in branches:
+        tens = a.reshape([dims[w] for w in live] + [a.shape[-1]])
+        for w in kept:                      # ascending, so each lands at its own position
+            b, name = measured[w]
+            tens = np.moveaxis(np.multiply.outer(b[:, rec[name]], tens), 0, surv.index(w))
+        out.append((rec, tens.reshape(-1, a.shape[-1])))
+    return out
+
+
+def _surviving_dims(circuit: Circuit) -> tuple[int, ...]:
+    surv = circuit.surviving_wires
+    return tuple(circuit.wires.dims[w] for w in surv) if surv else (1,)
+
+
+def simulate(circuit: Circuit, input_state: StateVector,
+             branch_cap: int = BRANCH_CAP, prune: float = PRUNE) -> list[BranchOutcome]:
+    """Exhaustive branch enumeration with exact probabilities and post-states.
+
+    A branch is dropped when its probability is at most ``prune`` times that
+    of the branch it split from; the remaining probabilities still sum to 1 up
+    to that tolerance.
+    """
+    if input_state.spec.dims != circuit.wires.dims:
+        raise InvariantError("input state dims do not match circuit wires")
+    psi = input_state.amplitudes
+    total = float(np.vdot(psi, psi).real)
+    spec = HilbertSpec(_surviving_dims(circuit), cap=circuit.wires.cap)
     results = []
-    for rec, a, p in branches:
-        tens = a.reshape(dims)
-        for w in sorted(pending_discard, reverse=True):
-            col = basis_of[w][:, rec[name_of[w]]]
-            tens = np.tensordot(col.conj(), tens, axes=([0], [w]))
-        results.append(BranchOutcome(rec, p, StateVector(spec, tens.reshape(-1))))
+    for rec, a in _walk(circuit, psi[:, None], branch_cap, prune):
+        p = float(np.vdot(a, a).real)
+        results.append(BranchOutcome(rec, p / total, StateVector(spec, a[:, 0] / np.sqrt(p))))
     return results
 
 
@@ -271,58 +301,23 @@ def branch_kraus(circuit: Circuit) -> list[tuple[dict, np.ndarray]]:
     The set over all branches satisfies sum K†K = identity, so it defines the
     branch-averaged channel of the circuit.
     """
-    dims = circuit.wires.dims
-    total = int(np.prod(dims))
-    branches: list[tuple[dict, np.ndarray]] = [({}, np.eye(total, dtype=complex))]
-    pending_discard: list[int] = []
+    return _walk(circuit, np.eye(circuit.wires.total_dim, dtype=complex))
 
-    def lift(op, wires):
-        return qk.embed_operator(op, wires, dims)
 
-    for ins in circuit.instructions:
-        if isinstance(ins, Gate):
-            g = lift(ins.matrix, ins.wires)
-            branches = [(rec, g @ k) for rec, k in branches]
-        elif isinstance(ins, Mux):
-            g = lift(ins.multiplexer.matrix, (ins.control,) + ins.targets)
-            branches = [(rec, g @ k) for rec, k in branches]
-        elif isinstance(ins, Measure):
-            d = dims[ins.wire]
-            b = _basis_matrix(ins.basis, d)
-            new = []
-            for rec, k in branches:
-                for out in range(d):
-                    col = b[:, out]
-                    proj = lift(np.outer(col, col.conj()), [ins.wire])
-                    kk = proj @ k
-                    if np.abs(kk).max() > 1e-12:
-                        new.append(({**rec, ins.out: out}, kk))
-            branches = new
-        elif isinstance(ins, Cond):
-            g = lift(ins.gate.matrix, ins.gate.wires)
-            branches = [(rec, g @ k if all(rec.get(n) == v for n, v in ins.when.items()) else k)
-                        for rec, k in branches]
-        elif isinstance(ins, Discard):
-            pending_discard.append(ins.wire)
-
-    basis_of = {m.wire: _basis_matrix(m.basis, dims[m.wire])
-                for m in circuit.instructions if isinstance(m, Measure)}
-    name_of = {m.wire: m.out for m in circuit.instructions if isinstance(m, Measure)}
-    out = []
-    for rec, k in branches:
-        mat = k.reshape(dims + (total,))
-        for w in sorted(pending_discard, reverse=True):
-            col = basis_of[w][:, rec[name_of[w]]]
-            mat = np.tensordot(col.conj(), mat, axes=([0], [w]))
-        out.append((rec, mat.reshape(-1, total)))
-    return out
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full-space matrix of a circuit made only of gates and multiplexers."""
+    if not all(isinstance(ins, (Gate, Mux)) for ins in circuit.instructions):
+        raise InvariantError("a circuit unitary needs a unitary-only circuit")
+    ((_, u),) = _walk(circuit, np.eye(circuit.wires.total_dim, dtype=complex))
+    return u
 
 
 def induced_channel(circuit: Circuit, input_wires, fixed: dict | None = None) -> QuantumChannel:
     """Branch-averaged channel restricted to ``input_wires``.
 
     ``fixed`` maps every other wire to its (computational) preparation value;
-    unlisted non-input wires default to 0.
+    unlisted non-input wires default to 0.  Only the injected input columns
+    are walked.
     """
     dims = circuit.wires.dims
     input_wires = [int(w) for w in input_wires]
@@ -338,11 +333,9 @@ def induced_channel(circuit: Circuit, input_wires, fixed: dict | None = None) ->
         for w in rest:
             full[w] = int(fixed.get(w, 0))
         inj[np.ravel_multi_index(full, dims), idx] = 1
-    ks = [k @ inj for _, k in branch_kraus(circuit)]
-    surv = circuit.surviving_wires
-    out_dims = tuple(dims[w] for w in surv) if surv else (1,)
+    ks = tuple(k for _, k in _walk(circuit, inj))
     in_dims = tuple(dims[w] for w in input_wires) if input_wires else (1,)
-    return QuantumChannel(HilbertSpec(in_dims), HilbertSpec(out_dims), tuple(ks))
+    return QuantumChannel(HilbertSpec(in_dims), HilbertSpec(_surviving_dims(circuit)), ks)
 
 
 def is_deterministic(circuit: Circuit, inputs, tol: float = 1e-9,

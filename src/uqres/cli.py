@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
 ``uqres <measure|interference|wigner|circuit|protocol|hamiltonian|algorithm|make-goldens>
-[--in PATH]... [--out PATH] [--seed N] [--tol X] [--cap N]``
+[--in PATH]... [--out PATH] [--seed N] [--cap N]``
 
 Reports are JSON (sorted keys, fixed layout) embedding the toolkit version,
-seed and tolerances, so identical configurations produce byte-identical
-files.  Exit codes: 0 success, 2 parse error, 3 invariant/constraint
+seed and the invariant tolerance (``qkernel.ATOL``), so identical
+configurations produce byte-identical files.  Exit codes: 0 success, 2 parse error, 3 invariant/constraint
 violation, 4 resource/dimension cap exceeded.
 """
 
@@ -77,7 +77,7 @@ def _load_json(path: str) -> dict:
 def _report(args, results) -> dict:
     return {"toolkit_version": __version__,
             "seed": args.seed,
-            "tolerance": args.tol,
+            "tolerance": qk.ATOL,
             "dimension_cap": args.cap,
             "results": results}
 
@@ -110,7 +110,7 @@ def cmd_measure(args) -> int:
     if unknown:
         raise ParseFailure(f"unknown measures {unknown}; choose from {sorted(evaluators)}")
     results = [ms.MeasureReport(measure=name, value=evaluators[name](),
-                                tolerance=args.tol).to_dict()
+                                tolerance=qk.ATOL).to_dict()
                for name in wanted]
     _emit(args, _report(args, results))
     return EXIT_OK
@@ -118,18 +118,10 @@ def cmd_measure(args) -> int:
 
 def cmd_interference(args) -> int:
     circuit = qc.circuit_from_json(_load_json(_one_input(args)), cap=args.cap)
-    u = np.eye(circuit.wires.total_dim, dtype=complex)
-    mux_layout = None
-    for ins in circuit.instructions:
-        if isinstance(ins, qc.Gate):
-            u = qk.embed_operator(ins.matrix, ins.wires, circuit.wires.dims) @ u
-        elif isinstance(ins, qc.Mux):
-            u = qk.embed_operator(ins.multiplexer.matrix, (ins.control,) + ins.targets,
-                                  circuit.wires.dims) @ u
-            mux_layout = ins
-        else:
-            raise InvariantError("interference analysis requires a unitary-only circuit")
-    op = qk.UnitaryOp(circuit.wires, u)     # checked once for all three measures
+    # Checked once for all three measures.
+    op = qk.UnitaryOp(circuit.wires, qc.circuit_unitary(circuit))
+    mux_layout = next((ins for ins in reversed(circuit.instructions)
+                       if isinstance(ins, qc.Mux)), None)
     results = {m: itf.interference_power(op, m) for m in ("relative_entropy", "l1", "log")}
     whole_circuit_mux = (mux_layout is not None and len(circuit.wires.dims) == 2
                          and mux_layout.control == 0 and mux_layout.targets == (1,))
@@ -406,7 +398,6 @@ def _add_common(p: argparse.ArgumentParser):
                    metavar="PATH", help="input file (repeatable)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-10, help="tolerance override")
     p.add_argument("--cap", type=int, default=qk.DEFAULT_DIM_CAP,
                    help="dimension cap (default 4096)")
 

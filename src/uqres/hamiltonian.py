@@ -87,15 +87,6 @@ def is_stoquastic(h, basis: np.ndarray | None = None, tol: float = 1e-10) -> boo
                 and off.real.max(initial=0.0) < tol)
 
 
-def _apply_local(m: np.ndarray, local: np.ndarray, wires, dims) -> np.ndarray:
-    """(local on ``wires``) @ m, contracting over m's row index without embedding local."""
-    k = len(wires)
-    sub = [dims[w] for w in wires]
-    out = np.tensordot(local.reshape(sub + sub), m.reshape(dims + (-1,)),
-                       axes=(list(range(k, 2 * k)), list(wires)))
-    return np.moveaxis(out, list(range(k)), list(wires)).reshape(m.shape)
-
-
 def trotter_evolve(terms: TermSum, t: float, steps: int) -> UnitaryOp:
     """First-order product (prod_k e^{i (t/steps) j_k h_k})^steps."""
     if steps < 1:
@@ -103,7 +94,7 @@ def trotter_evolve(terms: TermSum, t: float, steps: int) -> UnitaryOp:
     step = np.eye(terms.spec.total_dim, dtype=complex)
     for term in terms.terms:
         local = qk.expm_hermitian(term.matrix, (t / steps) * term.weight)
-        step = _apply_local(step, local, term.support, terms.spec.dims)
+        step = qk.apply_on_wires(step, local, term.support, terms.spec.dims)
     return qk._trusted(UnitaryOp, spec=terms.spec, matrix=np.linalg.matrix_power(step, steps))
 
 

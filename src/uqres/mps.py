@@ -351,14 +351,13 @@ def graph_stabilizer_expectations(g: GraphSpec, state: StateVector) -> list[floa
     if g.tailed:
         raise InvariantError("stabilizer generators are defined for untailed graphs here")
     dims = state.spec.dims
+    psi = state.amplitudes
     out = []
     for v in range(g.n):
-        op = qk.embed_operator(qk.X, [v], dims)
-        for a, b in g.edges:
-            if v in (a, b):
-                u = b if v == a else a
-                op = op @ qk.embed_operator(qk.Z, [u], dims)
-        out.append(float(np.vdot(state.amplitudes, op @ state.amplitudes).real))
+        k_psi = qk.apply_on_wires(psi, qk.X, [v], dims)
+        for u in (b if v == a else a for a, b in g.edges if v in (a, b)):
+            k_psi = qk.apply_on_wires(k_psi, qk.Z, [u], dims)
+        out.append(float(np.vdot(psi, k_psi).real))
     return out
 
 

@@ -285,12 +285,10 @@ class Register:
         if party is not None and self.owners[name] != party:
             raise InvariantError(f"party {party} cannot measure {name!r}")
         b = _BASES[basis] if isinstance(basis, str) else np.asarray(basis, dtype=complex)
-        tens = self.vec.reshape((2,) * len(self.names))
-        subs = [np.tensordot(b[:, k].conj(), tens, axes=([0], [w])) for k in range(2)]
+        subs = qk._measure_split(self.vec, b, w, (2,) * len(self.names))
         probs = [float((np.abs(s) ** 2).sum()) for s in subs]
         k = source.draw(label, probs)
-        post = subs[k].reshape(-1)
-        self.vec = post / math.sqrt(probs[k])
+        self.vec = subs[k] / math.sqrt(probs[k])
         self.names.pop(w)
         del self.owners[name]
         if transcript is not None and party is not None:
@@ -422,7 +420,6 @@ class _Row:
 class PMQCResult:
     output: StateVector                    # A's output heads, still padded
     keys: tuple[tuple[int, int], ...]      # final (x, z) pads, known to B post-broadcast
-    target: np.ndarray                     # ideal program unitary on the logical qubits
     transcript: Transcript
     ebits_consumed: int
     pr_boxes_consumed: int
@@ -473,14 +470,10 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     tr = Transcript()
     reg = Register(live_cap=12)
     counters = {"ebits": 0, "boxes": 0, "t_events": 0, "sites": 0}
-    target = np.eye(2 ** nq, dtype=complex)
 
     def step(label):
         if on_step is not None:
             on_step(label, reg)
-
-    def embed(g, q):
-        return qk.embed_operator(g, [q], (2,) * nq)
 
     # Inject plaintext through the input-site tails (Bell measurement at B).
     reg.add_state([f"pi{q}" for q in range(nq)], "B", plaintext.amplitudes)
@@ -516,8 +509,6 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         old_x, old_z = row.x, row.z
         row.x = _Share(old_z.a ^ a, old_z.b)
         row.z = _Share(old_x.a, old_x.b ^ row._pending_m)
-        nonlocal target
-        target = embed(qk.H, row.qubit) @ target
         step(f"hop_q{row.qubit}_s{row.sites}")
 
     def t_gadget(row: _Row) -> None:
@@ -548,8 +539,6 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         # correction conjugates back through X^x, restoring Z^z exactly, so
         # only the disentangling outcome enters the frame.
         row.z = _Share(row.z.a, row.z.b ^ m_g)
-        nonlocal target
-        target = embed(qk.T, row.qubit) @ target
         step(f"tgadget_q{row.qubit}")
 
     def run_gate(row: _Row, g: str) -> None:
@@ -561,12 +550,10 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
             hop(row)
 
     def apply_cz() -> None:
-        nonlocal target
         reg.apply(qk.CZ, [rows[0].cur, rows[1].cur], party="A", transcript=tr, op="CZ")
         x0, x1 = rows[0].x, rows[1].x
         rows[0].z = _Share(rows[0].z.a ^ x1.a, rows[0].z.b ^ x1.b)
         rows[1].z = _Share(rows[1].z.a ^ x0.a, rows[1].z.b ^ x0.b)
-        target = qk.CZ @ target
         step("cz")
 
     if cz_after is None:
@@ -589,7 +576,7 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     keys = tuple((r.x.value, r.z.value) for r in rows)
     output = reg.extract([r.cur for r in rows])
     step("end")
-    return PMQCResult(output, keys, target, tr, counters["ebits"], counters["boxes"],
+    return PMQCResult(output, keys, tr, counters["ebits"], counters["boxes"],
                       counters["t_events"], reg.max_live)
 
 

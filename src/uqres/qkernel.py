@@ -510,21 +510,41 @@ def embed_operator(m: np.ndarray, wires, dims) -> np.ndarray:
 
 
 def apply_on_wires(amps: np.ndarray, m: np.ndarray, wires, dims) -> np.ndarray:
-    """Apply an operator on a wire subset to a raw amplitude vector (no copy of m)."""
+    """Apply an operator on a wire subset to raw amplitudes (no copy of m).
+
+    ``amps`` has shape (D,) + batch: axis 0 is the composite index over
+    ``dims`` and every trailing batch column is transformed alike.
+    """
     dims = tuple(int(d) for d in dims)
     wires = [int(w) for w in wires]
     n = len(dims)
-    tens = amps.reshape(dims)
+    batch = amps.shape[1:]
+    tens = amps.reshape(dims + batch)
     rest = [w for w in range(n) if w not in wires]
-    perm = wires + rest
+    perm = wires + rest + list(range(n, n + len(batch)))
     tens = np.transpose(tens, perm)
     d_sub = int(np.prod([dims[w] for w in wires]))
     flat = tens.reshape(d_sub, -1)
     flat = m @ flat
-    out_dims = [dims[w] for w in perm]
+    out_dims = [dims[w] for w in perm[:n]] + list(batch)
     tens = flat.reshape(out_dims)
     tens = np.transpose(tens, np.argsort(perm))
-    return tens.reshape(-1)
+    return tens.reshape(amps.shape)
+
+
+def _measure_split(amps: np.ndarray, basis: np.ndarray, wire: int, dims) -> np.ndarray:
+    """Measure ``wire`` in the columns of ``basis``: rotate by basis†, then split.
+
+    Slice k of the result holds the unnormalised amplitudes of outcome k with
+    the measured wire contracted away, shape (D / d_wire,) + batch for
+    ``amps`` of shape (D,) + batch.
+    """
+    dims = tuple(int(d) for d in dims)
+    batch = amps.shape[1:]
+    d = dims[wire]
+    axes = [wire] + [a for a in range(len(dims) + len(batch)) if a != wire]
+    tens = amps.reshape(dims + batch).transpose(axes)
+    return (basis.conj().T @ tens.reshape(d, -1)).reshape((d, -1) + batch)
 
 
 # Dense numerics -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,217 @@ def test_json_round_trip():
         assert x.outcomes == y.outcomes
         assert x.probability == pytest.approx(y.probability, abs=1e-12)
         assert np.abs(x.state.amplitudes - y.state.amplitudes).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The one walk against full-space operators built by embed_operator
+# ---------------------------------------------------------------------------
+
+def embedded_branch_kraus(circuit):
+    """Oracle: per-branch Kraus operators from full-space embedded operators.
+
+    Projectors act on the whole space and discarded wires are contracted at
+    the end; branches whose operator has no entry above 1e-12 are dropped.
+    """
+    dims = circuit.wires.dims
+    total = int(np.prod(dims))
+    branches = [({}, np.eye(total, dtype=complex))]
+    bases = {}
+
+    def lift(op, wires):
+        return qk.embed_operator(op, wires, dims)
+
+    for ins in circuit.instructions:
+        if isinstance(ins, Gate):
+            g = lift(ins.matrix, ins.wires)
+            branches = [(rec, g @ k) for rec, k in branches]
+        elif isinstance(ins, Mux):
+            g = lift(ins.multiplexer.matrix, (ins.control,) + ins.targets)
+            branches = [(rec, g @ k) for rec, k in branches]
+        elif isinstance(ins, Measure):
+            b = qc._basis_matrix(ins.basis, dims[ins.wire])
+            bases[ins.wire] = (b, ins.out)
+            new = []
+            for rec, k in branches:
+                for out in range(dims[ins.wire]):
+                    kk = lift(np.outer(b[:, out], b[:, out].conj()), [ins.wire]) @ k
+                    if np.abs(kk).max() > 1e-12:
+                        new.append(({**rec, ins.out: out}, kk))
+            branches = new
+        elif isinstance(ins, Cond):
+            g = lift(ins.gate.matrix, ins.gate.wires)
+            branches = [(rec, g @ k if all(rec.get(n) == v for n, v in ins.when.items()) else k)
+                        for rec, k in branches]
+    discarded = sorted((i.wire for i in circuit.instructions if isinstance(i, Discard)),
+                       reverse=True)
+    out = []
+    for rec, k in branches:
+        mat = k.reshape(dims + (total,))
+        for w in discarded:
+            b, name = bases[w]
+            mat = np.tensordot(b[:, rec[name]].conj(), mat, axes=([0], [w]))
+        out.append((rec, mat.reshape(-1, total)))
+    return out
+
+
+def embedded_unitary(circuit):
+    dims = circuit.wires.dims
+    u = np.eye(circuit.wires.total_dim, dtype=complex)
+    for ins in circuit.instructions:
+        if isinstance(ins, Gate):
+            u = qk.embed_operator(ins.matrix, ins.wires, dims) @ u
+        else:
+            u = qk.embed_operator(ins.multiplexer.matrix, (ins.control,) + ins.targets,
+                                  dims) @ u
+    return u
+
+
+def random_circuit(seed, unitary_only=False):
+    """2-4 wires with one qutrit; a Mux, a two-wire gate, then (unless
+    ``unitary_only``) two measurements with conditioned gates, each measured
+    wire discarded or kept according to the seed."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    dims = [2] * n
+    dims[int(rng.integers(n))] = 3
+    order = [int(w) for w in rng.permutation(n)]
+    ins = [Gate(qk.haar_unitary(d, rng), (w,)) for w, d in enumerate(dims)]
+    ctrl, tgt = order[0], order[1]
+    ins.append(Mux(ctrl, tuple(qk.haar_unitary(dims[tgt], rng) for _ in range(dims[ctrl])),
+                   (tgt,)))
+    pair = tuple(int(w) for w in rng.choice(n, size=2, replace=False))
+    ins.append(Gate(qk.haar_unitary(dims[pair[0]] * dims[pair[1]], rng), pair))
+    if unitary_only:
+        return Circuit(HilbertSpec(tuple(dims)), tuple(ins))
+    kinds = ("Z", "X", "Y", "custom")
+    measured = order[:2] if n > 2 else order[:1]
+    for j, w in enumerate(measured):
+        kind = kinds[(seed + j) % 4]
+        if kind == "custom" or dims[w] != 2:
+            basis = qk.haar_unitary(dims[w], rng)
+        else:
+            basis = kind
+        ins.append(Measure(w, basis, f"m{j}"))
+        others = [v for v in range(n) if v not in measured[:j + 1]]
+        v = others[int(rng.integers(len(others)))]
+        ins.append(Cond({f"m{j}": int(rng.integers(dims[w]))},
+                        Gate(qk.haar_unitary(dims[v], rng), (v,))))
+    for j, w in enumerate(measured):
+        if (seed >> j) & 1:
+            ins.append(Discard(w))
+    return Circuit(HilbertSpec(tuple(dims)), tuple(ins))
+
+
+def record_key(rec):
+    return tuple(sorted(rec.items()))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_branch_kraus_matches_embedded_oracle(seed):
+    circ = random_circuit(seed)
+    got = qc.branch_kraus(circ)
+    want = embedded_branch_kraus(circ)
+    assert [record_key(r) for r, _ in got] == [record_key(r) for r, _ in want]
+    for (_, k), (_, ref) in zip(got, want):
+        assert k.shape == ref.shape
+        assert np.abs(k - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_induced_channel_and_simulate_match_embedded_oracle(seed):
+    circ = random_circuit(seed)
+    dims = circ.wires.dims
+    want = embedded_branch_kraus(circ)
+    rng = np.random.default_rng(100 + seed)
+
+    psi = qk.random_state(dims, rng)
+    sim = qc.simulate(circ, psi)
+    kept = [(rec, k @ psi.amplitudes) for rec, k in want]
+    kept = [(rec, v) for rec, v in kept if np.vdot(v, v).real > 1e-14]
+    assert [record_key(b.outcomes) for b in sim] == [record_key(r) for r, _ in kept]
+    for b, (_, v) in zip(sim, kept):
+        p = float(np.vdot(v, v).real)
+        assert abs(b.probability - p) <= 1e-14
+        assert np.abs(b.state.amplitudes - v / np.sqrt(p)).max() <= 1e-12
+
+    inputs = [int(w) for w in rng.choice(len(dims), size=1 + seed % 2, replace=False)]
+    fixed = {w: int(rng.integers(dims[w])) for w in range(len(dims)) if w not in inputs}
+    chan = qc.induced_channel(circ, inputs, fixed)
+    d_in = chan.in_spec.total_dim
+    inj = np.zeros((circ.wires.total_dim, d_in), dtype=complex)
+    for idx, digits in enumerate(np.ndindex(*(dims[w] for w in inputs))):
+        full = [fixed.get(w, 0) for w in range(len(dims))]
+        for w, v in zip(inputs, digits):
+            full[w] = v
+        inj[np.ravel_multi_index(full, dims), idx] = 1
+    ref = [k @ inj for _, k in want]
+    assert len(chan.kraus) == len(ref)
+    for k, r in zip(chan.kraus, ref):
+        assert np.abs(k - r).max() <= 1e-12
+
+
+def test_induced_channel_drops_branches_that_vanish_on_the_inputs():
+    # The fixed wire is measured in Z untouched, so outcome 1 never occurs:
+    # the full-space operator of that branch is nonzero, its injected columns
+    # are zero, and the walk over the injected columns does not keep it.
+    circ = Circuit(HilbertSpec((2, 2)), (
+        Gate(qk.H, (0,)),
+        Measure(1, "Z", "f"),
+        Cond({"f": 1}, Gate(qk.X, (0,))),
+        Discard(1),
+    ))
+    ((_, k0), (_, k1)) = embedded_branch_kraus(circ)
+    chan = qc.induced_channel(circ, [0], fixed={1: 0})
+    assert len(chan.kraus) == 1
+    assert np.abs(chan.kraus[0] - k0[:, [0, 2]]).max() <= 1e-12
+    assert np.abs(k1[:, [0, 2]]).max() == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_circuit_unitary_matches_embedded_fold(seed):
+    circ = random_circuit(seed, unitary_only=True)
+    assert np.abs(qc.circuit_unitary(circ) - embedded_unitary(circ)).max() <= 1e-12
+
+
+def test_circuit_unitary_rejects_measurements():
+    with pytest.raises(InvariantError):
+        qc.circuit_unitary(Circuit(HilbertSpec((2,)), (Measure(0, "Z", "m"),)))
+
+
+@pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)])
+def test_batched_apply_on_wires_matches_per_column_loop(batch):
+    rng = np.random.default_rng(sum(batch))
+    dims = (2, 3, 2, 2)
+    for wires in ([1], [3, 0], [2, 1, 0]):
+        d_sub = int(np.prod([dims[w] for w in wires]))
+        m = qk.haar_unitary(d_sub, rng)
+        shape = (int(np.prod(dims)),) + batch
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = qk.apply_on_wires(amps, m, wires, dims)
+        assert got.shape == amps.shape
+        for col in np.ndindex(*batch):
+            want = qk.apply_on_wires(amps[(slice(None),) + col], m, wires, dims)
+            assert np.abs(got[(slice(None),) + col] - want).max() <= 1e-14
+
+
+def test_no_full_space_operator_in_walks_and_wire_local_callers(tmp_path, monkeypatch, capsys):
+    from uqres import cli, mps
+    from uqres import protocols as pr
+
+    def spy(*args, **kwargs):
+        raise AssertionError("embed_operator called")
+
+    monkeypatch.setattr(qk, "embed_operator", spy)
+    circ = random_circuit(5)
+    qc.simulate(circ, qk.random_state(circ.wires.dims, np.random.default_rng(0)))
+    qc.branch_kraus(circ)
+    qc.induced_channel(qc.contextual_cz(), [1], fixed={0: 0})
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(qc.circuit_to_json(random_circuit(3, unitary_only=True))),
+                    encoding="utf-8")
+    assert cli.main(["interference", "--in", str(path)]) == 0
+    capsys.readouterr()
+    g = mps.line_graph(4)
+    mps.graph_stabilizer_expectations(g, mps.cluster_state(g))
+    pr.enumerate_runs(lambda src: pr.pmqc_run(qk.zero_state((2,)), (("H", "T"),),
+                                              source=src))

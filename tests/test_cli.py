@@ -343,3 +343,18 @@ def test_malformed_config_exits_2(tmp_path, case):
     path = tmp_path / "config.json"
     write_json(path, doc)
     assert run(command.split() + ["--config", str(path)]) == 2
+
+
+# The report's tolerance is the invariant tolerance; there is no --tol flag -----
+
+def test_tol_flag_is_rejected_and_report_keeps_invariant_tolerance(tmp_path, capsys):
+    state = tmp_path / "plus.json"
+    write_json(state, plus_doc())
+    with pytest.raises(SystemExit) as exc:
+        run(["measure", "--in", str(state), "--tol", "1e-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["measure", "--in", str(state)]) == 0
+    text = capsys.readouterr().out
+    assert '"tolerance": 1e-10' in text
+    assert all(r["tolerance"] == 1e-10 for r in json.loads(text)["results"])
