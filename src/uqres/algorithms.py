@@ -71,15 +71,6 @@ def sandwiched_interference(v: np.ndarray, cu: Multiplexer, w: np.ndarray) -> fl
     return total / (d1 * d2)
 
 
-def sandwich_circuit(v: np.ndarray, cu: Multiplexer, w: np.ndarray) -> Circuit:
-    """The sandwiched unitary as a two-wire circuit (control, data)."""
-    return Circuit(HilbertSpec((cu.control_dim, cu.target_dim)), (
-        Gate(np.asarray(w, dtype=complex), (0,), name="W"),
-        Mux(0, cu.branches, (1,)),
-        Gate(np.asarray(v, dtype=complex), (0,), name="V"),
-    ))
-
-
 # ---------------------------------------------------------------------------
 # One-control-qubit universality construction
 # ---------------------------------------------------------------------------

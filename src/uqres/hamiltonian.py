@@ -67,11 +67,31 @@ class TermSum:
 
 
 def assemble(terms: TermSum) -> np.ndarray:
-    """Embedded weighted sum over the full space."""
+    """H = sum_n j_n h_n as a dense matrix over the full space.
+
+    Each term is added on its own wires.  H is viewed with one row and one
+    column axis per wire; ``np.einsum`` with the row and column label of every
+    wire outside the support repeated gives a writable view of the entries on
+    which the term acts as the identity there, and j_n h_n is added into it:
+    O(d d_support) per term, with no d x d temporary.  Dimension-1 wires carry
+    no index and are dropped first, which keeps the labels within einsum's 52
+    (wire 0 stays when every wire is trivial, since einsum copies a 0-d result).
+    """
+    dims = terms.spec.dims
     d = terms.spec.total_dim
     h = np.zeros((d, d), dtype=complex)
+    wires = [w for w, dw in enumerate(dims) if dw > 1] or [0]
+    label = {w: k for k, w in enumerate(wires)}      # row label k, column label n + k
+    n = len(wires)
+    grid = h.reshape(tuple(dims[w] for w in wires) * 2)
     for t in terms.terms:
-        h += t.weight * qk.embed_operator(t.matrix, t.support, terms.spec.dims)
+        support = [label[s] for s in t.support if s in label]
+        rest = [k for k in range(n) if k not in support]
+        cols = [n + k if k in support else k for k in range(n)]
+        view = np.einsum(grid, list(range(n)) + cols,
+                         rest + support + [n + k for k in support])
+        sub = tuple(dims[wires[k]] for k in support)
+        view += (t.weight * t.matrix).reshape(sub + sub)
     return h
 
 

@@ -138,17 +138,20 @@ def _column_outputs(channel: QuantumChannel) -> list[DensityOperator]:
 
 
 def choi_state(e) -> DualState:
-    """Choi state (1/d) sum_ij |i><j| (x) E(|i><j|); channel acts on the second half."""
+    """Choi state (1/d) sum_ij |i><j| (x) E(|i><j|); channel acts on the second half.
+
+    Each Kraus operator K contributes |v><v| with v = (1 (x) K)|omega> for the
+    maximally entangled |omega> = d^{-1/2} sum_i |i>|i>.  Entry (i, a) of v is
+    K[a, i] / sqrt(d), so v is K^T flattened and scaled: O(d^2) per operator.
+    """
     channel = _as_channel(e)
     if not channel.is_square:
         raise InvariantError("choi_state requires a square channel")
     d = channel.in_spec.total_dim
     dout = channel.out_spec.total_dim
-    omega = np.zeros(d * d, dtype=complex)
-    omega[[i * d + i for i in range(d)]] = 1 / np.sqrt(d)
     acc = np.zeros((d * dout, d * dout), dtype=complex)
     for k in channel.kraus:
-        v = np.kron(np.eye(d), k) @ omega
+        v = k.T.reshape(-1) * (1 / np.sqrt(d))
         acc += np.outer(v, v.conj())
     spec = HilbertSpec((d, dout))
     return DualState("choi", qk._trusted(DensityOperator, spec=spec, matrix=acc))

@@ -213,6 +213,7 @@ def angle_basis(theta: float) -> np.ndarray:
 
 
 _BASES = {"Z": np.eye(2, dtype=complex), "X": qk.H}
+_BELL = np.array([1, 0, 0, 1], dtype=complex)   # (|00> + |11>) / sqrt(2) once normalised
 
 
 class Register:
@@ -225,48 +226,45 @@ class Register:
         self.live_cap = live_cap
         self.max_live = 0
 
-    def _check_cap(self):
-        if len(self.names) > self.live_cap:
-            raise qk.CapExceededError(
-                f"live register of {len(self.names)} qubits exceeds cap {self.live_cap}")
-        self.max_live = max(self.max_live, len(self.names))
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
         except ValueError:
             raise InvariantError(f"no live qubit named {name!r}") from None
 
+    def _grow(self, names, owners, amplitudes) -> None:
+        """Append fresh qubits in the joint state ``amplitudes``, normalised here.
+
+        Every check runs before the register changes, so a rejected call
+        leaves it as it was.
+        """
+        names = list(names)
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if len(set(names)) != len(names) or any(n in self.names for n in names):
+            raise InvariantError(f"qubit names {names} are not fresh and distinct")
+        if amps.size != 2 ** len(names):
+            raise InvariantError("amplitude length does not match qubit count")
+        norm = np.linalg.norm(amps)
+        if not 0 < norm < np.inf:
+            raise InvariantError(f"amplitudes have norm {norm!r}")
+        live = len(self.names) + len(names)
+        if live > self.live_cap:
+            raise qk.CapExceededError(
+                f"live register of {live} qubits exceeds cap {self.live_cap}")
+        self.vec = np.multiply.outer(self.vec, amps / norm).reshape(-1)
+        self.names += names
+        self.owners.update(zip(names, owners))
+        self.max_live = max(self.max_live, live)
+
     def add_qubit(self, name: str, owner: str, amplitudes) -> None:
-        if name in self.names:
-            raise InvariantError(f"duplicate qubit name {name!r}")
-        amps = np.asarray(amplitudes, dtype=complex)
-        self.vec = np.kron(self.vec, amps / np.linalg.norm(amps))
-        self.names.append(name)
-        self.owners[name] = owner
-        self._check_cap()
+        self._grow([name], [owner], amplitudes)
 
     def add_state(self, names, owner: str, amplitudes) -> None:
         """Kron in a joint pure state on fresh qubits (first name most significant)."""
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.size != 2 ** len(names):
-            raise InvariantError("amplitude length does not match qubit count")
-        for name in names:
-            if name in self.names:
-                raise InvariantError(f"duplicate qubit name {name!r}")
-            self.owners[name] = owner
-        self.vec = np.kron(self.vec, amps / np.linalg.norm(amps))
-        self.names += list(names)
-        self._check_cap()
+        self._grow(names, [owner] * len(names), amplitudes)
 
     def add_ebit(self, name_a: str, name_b: str, owner_a: str = "A", owner_b: str = "B"):
-        for name, owner in ((name_a, owner_a), (name_b, owner_b)):
-            if name in self.names:
-                raise InvariantError(f"duplicate qubit name {name!r}")
-            self.owners[name] = owner
-        self.vec = np.kron(self.vec, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
-        self.names += [name_a, name_b]
-        self._check_cap()
+        self._grow([name_a, name_b], [owner_a, owner_b], _BELL)
 
     def apply(self, u: np.ndarray, names, party: str | None = None,
               transcript: Transcript | None = None, op: str = ""):
@@ -444,6 +442,19 @@ def _validate_program(programs, cz_after):
             raise InvariantError("cz_after indices out of range")
 
 
+def _program_order(programs, cz_after):
+    """The gates of a program in execution order, as (qubit, gate name).
+
+    Without ``cz_after`` each qubit runs its whole program in turn.  With
+    ``cz_after = (k0, k1)`` both qubits first run their first k gates, then
+    the CZ (qubit ``None``) acts, then both run the rest.
+    """
+    if cz_after is None:
+        return [(q, g) for q, gates in enumerate(programs) for g in gates]
+    return ([(q, g) for q in (0, 1) for g in programs[q][:cz_after[q]]] + [(None, "CZ")]
+            + [(q, g) for q in (0, 1) for g in programs[q][cz_after[q]:]])
+
+
 def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
              source: OutcomeSource, resources: PMQCResources | None = None,
              on_step=None) -> PMQCResult:
@@ -556,19 +567,11 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         rows[1].z = _Share(rows[1].z.a ^ x0.a, rows[1].z.b ^ x0.b)
         step("cz")
 
-    if cz_after is None:
-        for q, row in enumerate(rows):
-            for g in programs[q]:
-                run_gate(row, g)
-    else:
-        k0, k1 = cz_after
-        for q, row, k in ((0, rows[0], k0), (1, rows[1], k1)):
-            for g in programs[q][:k]:
-                run_gate(row, g)
-        apply_cz()
-        for q, row, k in ((0, rows[0], k0), (1, rows[1], k1)):
-            for g in programs[q][k:]:
-                run_gate(row, g)
+    for q, g in _program_order(programs, cz_after):
+        if q is None:
+            apply_cz()
+        else:
+            run_gate(rows[q], g)
 
     tr.log("A", "broadcast",
            {"payload": {f"shares_q{r.qubit}": [r.x.a, r.z.a] for r in rows}})
@@ -592,26 +595,10 @@ def decrypt_pads(state: StateVector, keys) -> StateVector:
 
 def program_unitary(programs, cz_after=None) -> np.ndarray:
     """Direct-circuit oracle: the program applied plainly to the logical qubits."""
-    nq = len(programs)
-    dims = (2,) * nq
-    u = np.eye(2 ** nq, dtype=complex)
-
-    def emb(g, q):
-        return qk.embed_operator(g, [q], dims)
-
-    if cz_after is None:
-        for q, gates in enumerate(programs):
-            for g in gates:
-                u = emb(qk.GATES[g.upper()], q) @ u
-    else:
-        k0, k1 = cz_after
-        for q, k in ((0, k0), (1, k1)):
-            for g in programs[q][:k]:
-                u = emb(qk.GATES[g.upper()], q) @ u
-        u = qk.CZ @ u
-        for q, k in ((0, k0), (1, k1)):
-            for g in programs[q][k:]:
-                u = emb(qk.GATES[g.upper()], q) @ u
+    dims = (2,) * len(programs)
+    u = np.eye(2 ** len(programs), dtype=complex)
+    for q, g in _program_order(programs, cz_after):
+        u = qk.apply_on_wires(u, qk.GATES[g.upper()], [0, 1] if q is None else [q], dims)
     return u
 
 

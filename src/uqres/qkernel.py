@@ -347,12 +347,6 @@ def clock_z(d: int) -> np.ndarray:
     return np.diag(w ** np.arange(d))
 
 
-def fourier(d: int) -> np.ndarray:
-    """Discrete Fourier gate F|j> = d^{-1/2} sum_k w^{jk} |k>."""
-    j = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
-
-
 def generalized_cx(d: int) -> np.ndarray:
     """Qudit CX: |i, j> -> |i, i+j mod d>."""
     m = np.zeros((d * d, d * d), dtype=complex)
@@ -477,37 +471,12 @@ def dephase(rho: DensityOperator) -> DensityOperator:
     return _trusted(DensityOperator, spec=rho.spec, matrix=np.diag(np.diag(rho.matrix)))
 
 
-def dephasing_channel(d: int) -> QuantumChannel:
-    ks = [np.zeros((d, d), dtype=complex) for _ in range(d)]
-    for i in range(d):
-        ks[i][i, i] = 1
-    spec = _single(d)
-    return QuantumChannel(spec, spec, tuple(ks))
-
-
-# Wire embedding -------------------------------------------------------------
-
-def embed_operator(m: np.ndarray, wires, dims) -> np.ndarray:
-    """Embed an operator acting on ``wires`` (in the given order) into the full space."""
-    dims = tuple(int(d) for d in dims)
-    wires = [int(w) for w in wires]
-    n = len(dims)
-    if len(set(wires)) != len(wires) or any(w < 0 or w >= n for w in wires):
-        raise InvariantError(f"bad wire set {wires} for {n} subsystems")
-    d_sub = int(np.prod([dims[w] for w in wires]))
-    if m.shape != (d_sub, d_sub):
-        raise InvariantError(f"operator shape {m.shape} does not match wires {wires}")
-    rest = [w for w in range(n) if w not in wires]
-    big = np.kron(m, np.eye(int(np.prod([dims[w] for w in rest])) if rest else 1))
-    # big acts on subsystem order wires + rest; permute back to natural order.
-    order = wires + rest
-    perm = np.argsort(order)
-    src_dims = [dims[w] for w in order]
-    tens = big.reshape(src_dims + src_dims)
-    tens = np.transpose(tens, list(perm) + [p + n for p in perm])
-    d = int(np.prod(dims))
-    return tens.reshape(d, d)
-
+# Wire-local kernels ---------------------------------------------------------
+# An operator on a subset of wires is never embedded into the full space:
+# amplitudes (or the columns of an operator) are viewed as a tensor with one
+# axis per wire, the operator is applied to its own axes, and the other axes
+# are carried along untouched.  ``apply_on_wires`` is that kernel; measured
+# wires are split off by ``_measure_split``.
 
 def apply_on_wires(amps: np.ndarray, m: np.ndarray, wires, dims) -> np.ndarray:
     """Apply an operator on a wire subset to raw amplitudes (no copy of m).
@@ -599,18 +568,11 @@ def _dilate_isometry(v: np.ndarray, positions) -> np.ndarray:
     return u
 
 
-# Fidelity and comparison ----------------------------------------------------
+# Fidelity -------------------------------------------------------------------
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for pure states."""
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < tol or nb < tol:
-        return na < tol and nb < tol
-    return bool(abs(abs(np.vdot(a, b)) / (na * nb) - 1.0) <= tol)
 
 
 # Seeded randomness ----------------------------------------------------------

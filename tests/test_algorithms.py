@@ -44,16 +44,6 @@ def test_sandwich_matches_dual_state_route():
         assert direct == pytest.approx(itf.interference_power(assembled), abs=1e-9)
 
 
-def test_sandwich_circuit_builder():
-    rng = np.random.default_rng(3)
-    cu = Multiplexer((qk.haar_unitary(2, rng), qk.haar_unitary(2, rng)))
-    circ = alg.sandwich_circuit(qk.H, cu, qk.H)
-    psi = qk.random_state((2, 2), rng)
-    (branch,) = qc.simulate(circ, psi)
-    assembled = np.kron(qk.H, np.eye(2)) @ cu.matrix @ np.kron(qk.H, np.eye(2))
-    assert np.abs(branch.state.amplitudes - assembled @ psi.amplitudes).max() < 1e-10
-
-
 def test_rotation_v_coherences():
     for eps in (1e-3, 1e-2, 0.1):
         v = alg.rotation_v(eps)

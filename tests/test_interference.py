@@ -4,7 +4,12 @@ import pytest
 from uqres import interference as itf
 from uqres import qkernel as qk
 from uqres.interference import Multiplexer
-from uqres.qkernel import HilbertSpec, InvariantError
+from uqres.qkernel import HilbertSpec, InvariantError, QuantumChannel
+
+
+def dephasing_channel(d):
+    spec = HilbertSpec((d,))
+    return QuantumChannel(spec, spec, tuple(np.diag(row).astype(complex) for row in np.eye(d)))
 
 
 def test_zero_interference_gates():
@@ -39,7 +44,7 @@ def test_choi_state_examples():
     assert np.abs(choi.state.matrix - np.outer(ebit, ebit.conj())).max() < 1e-12
 
     # Completely dephasing channel -> maximally classically correlated state.
-    deph = qk.dephasing_channel(2)
+    deph = dephasing_channel(2)
     md = itf.choi_state(deph)
     expect = np.diag([0.5, 0, 0, 0.5]).astype(complex)
     assert np.abs(md.state.matrix - expect).max() < 1e-12
@@ -84,7 +89,7 @@ def test_interference_measured_on_assembled_dual_state():
 
 def test_interference_of_nonunitary_channel():
     # Dephasing kills all output coherence.
-    assert itf.interference_power(qk.dephasing_channel(3)) == pytest.approx(
+    assert itf.interference_power(dephasing_channel(3)) == pytest.approx(
         0.0, abs=1e-12)
 
 

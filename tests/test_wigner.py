@@ -134,7 +134,7 @@ def test_negativity_bounded_by_coherence():
 
 def _random_qutrit_clifford(rng):
     """Random word in verified qutrit Clifford generators."""
-    f = qk.fourier(3)
+    f = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
     w = np.exp(2j * np.pi / 3)
     s3 = np.diag([1, w, w])  # phase gate: j -> j(j+1)/2 pattern for d = 3
     gens = [f, s3, qk.shift_x(3), qk.clock_z(3)]
