@@ -33,7 +33,6 @@ from .qkernel import (CapExceededError, HilbertSpec, InvariantError, QuantumChan
                       StateVector)
 
 BRANCH_CAP = 2 ** 16
-PRUNE = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +208,16 @@ class BranchOutcome:
     state: StateVector
 
 
-def _walk(circuit: Circuit, columns: np.ndarray, branch_cap: int = BRANCH_CAP,
-          prune: float = PRUNE) -> list[tuple[dict, np.ndarray]]:
+def _walk(circuit: Circuit, columns: np.ndarray,
+          branch_cap: int = BRANCH_CAP) -> list[tuple[dict, np.ndarray]]:
     """Every measurement branch of ``circuit`` applied to the (D, B) array ``columns``.
 
     Gates act on their wires only.  A measurement rotates its wire by basis†
     and splits it into one child per outcome, contracting the wire at once
     (``Circuit`` forbids any later action on a measured wire); a child whose
-    squared norm is at most ``prune`` times its parent's is dropped.  Returns
-    (record, amplitudes) per branch, unnormalised, of shape (D_surv, B) over
-    the surviving wires: a measured wire that is not discarded holds its
+    squared norm is at most ``qkernel.PRUNE`` times its parent's is dropped.
+    Returns (record, amplitudes) per branch, unnormalised, of shape (D_surv, B)
+    over the surviving wires: a measured wire that is not discarded holds its
     outcome's basis column again.
     """
     dims = circuit.wires.dims
@@ -248,7 +247,7 @@ def _walk(circuit: Circuit, columns: np.ndarray, branch_cap: int = BRANCH_CAP,
             live_dims = [dims[w] for w in live]
             new = []
             for rec, a in branches:
-                floor = prune * np.vdot(a, a).real
+                floor = qk.PRUNE * np.vdot(a, a).real
                 for k, child in enumerate(qk._measure_split(a, b, pos, live_dims)):
                     if np.vdot(child, child).real > floor:
                         new.append(({**rec, ins.out: k}, child))
@@ -276,12 +275,12 @@ def _surviving_dims(circuit: Circuit) -> tuple[int, ...]:
 
 
 def simulate(circuit: Circuit, input_state: StateVector,
-             branch_cap: int = BRANCH_CAP, prune: float = PRUNE) -> list[BranchOutcome]:
+             branch_cap: int = BRANCH_CAP) -> list[BranchOutcome]:
     """Exhaustive branch enumeration with exact probabilities and post-states.
 
-    A branch is dropped when its probability is at most ``prune`` times that
-    of the branch it split from; the remaining probabilities still sum to 1 up
-    to that tolerance.
+    A branch is dropped when its probability is at most ``qkernel.PRUNE``
+    times that of the branch it split from; the remaining probabilities still
+    sum to 1 up to that tolerance.
     """
     if input_state.spec.dims != circuit.wires.dims:
         raise InvariantError("input state dims do not match circuit wires")
@@ -289,7 +288,7 @@ def simulate(circuit: Circuit, input_state: StateVector,
     total = float(np.vdot(psi, psi).real)
     spec = HilbertSpec(_surviving_dims(circuit), cap=circuit.wires.cap)
     results = []
-    for rec, a in _walk(circuit, psi[:, None], branch_cap, prune):
+    for rec, a in _walk(circuit, psi[:, None], branch_cap):
         p = float(np.vdot(a, a).real)
         results.append(BranchOutcome(rec, p / total, StateVector(spec, a[:, 0] / np.sqrt(p))))
     return results

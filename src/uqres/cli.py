@@ -82,8 +82,21 @@ def _report(args, results) -> dict:
             "results": results}
 
 
+def _serialize(doc: dict) -> str:
+    """A report's bytes: sorted keys, two-space indent, one final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _write_gap_csv(path, scan) -> None:
+    """A gap scan as CSV: a ``t,gap`` header, then one fixed-precision row per point."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "gap"])
+        writer.writerows([f"{s:.10f}", f"{gap:.12f}"] for s, gap in scan)
+
+
 def _emit(args, doc: dict) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _serialize(doc)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -268,16 +281,11 @@ def cmd_hamiltonian(args) -> int:
             h0 = matrix_from_json(doc["h_start"])
             h1 = matrix_from_json(doc["h_end"])
         scan = ham.adiabatic_gap_scan(h0, h1, int(args.grid))
+        s_min, g_min = ham.min_gap(scan)
         if args.out:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "gap"])
-                for s, gap in scan:
-                    writer.writerow([f"{s:.10f}", f"{gap:.12f}"])
-            s_min, g_min = ham.min_gap(scan)
+            _write_gap_csv(args.out, scan)
             sys.stdout.write(json.dumps({"min_gap": g_min, "at": s_min}) + "\n")
             return EXIT_OK
-        s_min, g_min = ham.min_gap(scan)
         results = {"scan": [[s, g] for s, g in scan], "min_gap": g_min, "at": s_min}
     else:
         raise ParseFailure(f"unknown hamiltonian action {action!r}")
@@ -370,15 +378,9 @@ def cmd_make_goldens(args) -> int:
         "unit_norm_z_to_x_min_gap": {"gap": g_min, "at": s_min},
         "chsh_win_rate": pr.chsh_game(),
     }
-    (outdir / "goldens.json").write_text(
-        json.dumps(_report(args, goldens), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-    with open(outdir / "gap_scan_unit_norm_z_to_x.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "gap"])
-        for s, gap in scan:
-            writer.writerow([f"{s:.10f}", f"{gap:.12f}"])
+    (outdir / "goldens.json").write_text(_serialize(_report(args, goldens)),
+                                         encoding="utf-8")
+    _write_gap_csv(outdir / "gap_scan_unit_norm_z_to_x.csv", scan)
     sys.stdout.write(f"wrote goldens to {outdir}\n")
     return EXIT_OK
 

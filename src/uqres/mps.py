@@ -246,12 +246,8 @@ def sequential_prepare_detailed(chain: MPSChain,
     amps = _max_entangled_pair(d_bond)
     for t in canon.tensors:
         d_site = t.shape[0]
-        v = np.zeros((d_bond * d_site, d_bond), dtype=complex)
-        for b in range(d_bond):
-            col = np.zeros((d_bond, d_site), dtype=complex)
-            for i in range(d_site):
-                col[:, i] = t[i][:, b]
-            v[:, b] = col.reshape(-1)      # row-major (bond', site)
+        # v[(b', i), b] = A^i[b', b], rows row-major over (bond', site).
+        v = np.transpose(t, (1, 0, 2)).reshape(d_bond * d_site, d_bond)
         # Input |b>|0> sits at flat index b * d_site in the (bond, site) block.
         u = qk._dilate_isometry(v, [b * d_site for b in range(d_bond)])
         grown = np.zeros(len(amps) * d_site, dtype=complex)

@@ -9,7 +9,10 @@ pre-broadcast messages (which the implemented protocols never emit).
 
 Measurement outcomes and PR-box hidden bits are drawn from an OutcomeSource:
 ``SamplingSource`` draws with a seeded generator, while ``enumerate_runs``
-replays a protocol over every outcome path for exhaustive verification.
+runs a protocol once per outcome path for exhaustive verification, under the
+``qkernel.PRUNE`` fork rule that the circuit walker uses too.  A protocol must
+be deterministic in its source: replaying the same outcomes meets the same
+draws with the same probabilities.
 """
 
 from __future__ import annotations
@@ -158,26 +161,28 @@ class SamplingSource(OutcomeSource):
         return k
 
 
-class _Fork(Exception):
-    def __init__(self, options):
-        self.options = options
-
-
 class ReplaySource(OutcomeSource):
-    """Follows a prescribed outcome prefix, forking when the prefix runs out."""
+    """Follows a prescribed outcome prefix, then the last allowed outcome of each draw.
+
+    Past the prefix, the lower allowed outcomes are kept in ``untried`` as the
+    prefixes still to run: shallow draws first, each in ascending order.
+    """
 
     def __init__(self, prefix: tuple[int, ...]):
         self.prefix = prefix
-        self.pos = 0
         self.probability = 1.0
         self.path: list[tuple[str, int]] = []
+        self.untried: list[tuple[int, ...]] = []
 
     def draw(self, label, probs):
         p = np.asarray(probs, dtype=float)
-        if self.pos >= len(self.prefix):
-            raise _Fork([k for k in range(len(p)) if p[k] > 1e-12])
-        k = self.prefix[self.pos]
-        self.pos += 1
+        depth = len(self.path)
+        if depth < len(self.prefix):
+            k = self.prefix[depth]
+        else:
+            *lower, k = [j for j in range(len(p)) if p[j] > qk.PRUNE]
+            taken = tuple(j for _, j in self.path)
+            self.untried.extend(taken + (j,) for j in lower)
         self.probability *= float(p[k])
         self.path.append((label, k))
         return k
@@ -186,19 +191,19 @@ class ReplaySource(OutcomeSource):
 def enumerate_runs(protocol_fn):
     """Run ``protocol_fn(source)`` over every outcome path; returns [(prob, result)].
 
-    The protocol must be a pure function of its source (rebuilt state per call).
+    The protocol is called once per leaf and runs to its end; leaves come out
+    depth first, the higher outcome of each draw first.  An outcome whose
+    probability is at most ``qkernel.PRUNE`` is not followed.  The protocol
+    must be deterministic in its source (state rebuilt per call), since each
+    call replays the prefix of an earlier one.
     """
     results = []
     stack: list[tuple[int, ...]] = [()]
     while stack:
-        prefix = stack.pop()
-        src = ReplaySource(prefix)
-        try:
-            res = protocol_fn(src)
-        except _Fork as f:
-            stack.extend(prefix + (k,) for k in f.options)
-            continue
+        src = ReplaySource(stack.pop())
+        res = protocol_fn(src)
         results.append((src.probability, res))
+        stack.extend(src.untried)
     return results
 
 
@@ -214,16 +219,16 @@ def angle_basis(theta: float) -> np.ndarray:
 
 _BASES = {"Z": np.eye(2, dtype=complex), "X": qk.H}
 _BELL = np.array([1, 0, 0, 1], dtype=complex)   # (|00> + |11>) / sqrt(2) once normalised
+LIVE_CAP = 12                                    # most qubits a Register holds at once
 
 
 class Register:
     """Statevector over named qubits; measurement contracts the qubit away."""
 
-    def __init__(self, live_cap: int = 12):
+    def __init__(self):
         self.names: list[str] = []
         self.owners: dict[str, str] = {}
         self.vec = np.ones(1, dtype=complex)
-        self.live_cap = live_cap
         self.max_live = 0
 
     def index(self, name: str) -> int:
@@ -248,9 +253,9 @@ class Register:
         if not 0 < norm < np.inf:
             raise InvariantError(f"amplitudes have norm {norm!r}")
         live = len(self.names) + len(names)
-        if live > self.live_cap:
+        if live > LIVE_CAP:
             raise qk.CapExceededError(
-                f"live register of {live} qubits exceeds cap {self.live_cap}")
+                f"live register of {live} qubits exceeds cap {LIVE_CAP}")
         self.vec = np.multiply.outer(self.vec, amps / norm).reshape(-1)
         self.names += names
         self.owners.update(zip(names, owners))
@@ -410,8 +415,6 @@ class _Row:
     x: _Share = field(default_factory=_Share)
     z: _Share = field(default_factory=_Share)
     sites: int = 0
-    _pending_head: str = ""
-    _pending_m: int = 0
 
 
 @dataclass(frozen=True)
@@ -479,8 +482,8 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
             f"{resources.ebits} ebits / {resources.pr_boxes} boxes")
 
     tr = Transcript()
-    reg = Register(live_cap=12)
-    counters = {"ebits": 0, "boxes": 0, "t_events": 0, "sites": 0}
+    reg = Register()
+    counters = {"ebits": 0, "boxes": 0, "t_events": 0}
 
     def step(label):
         if on_step is not None:
@@ -493,7 +496,6 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     for q in range(nq):
         head, tail = f"h{q}s0", f"t{q}s0"
         reg.add_ebit(head, tail, "A", "B")
-        counters["sites"] += 1
         reg.apply(qk.CX, [f"pi{q}", tail], party="B", transcript=tr, op="CX")
         reg.apply(qk.H, [f"pi{q}"], party="B", transcript=tr, op="H")
         m1 = reg.measure(f"pi{q}", "Z", source, f"bell{q}a", party="B", transcript=tr)
@@ -501,25 +503,21 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         rows.append(_Row(q, head, _Share(0, m2), _Share(0, m1)))
         step(f"inject_q{q}")
 
-    def new_site(row: _Row) -> None:
-        """Grow the row by one tailed site: tail removed at B, CZ edge at A."""
+    def new_site(row: _Row) -> tuple[str, int]:
+        """Add a tailed site (tail removed at B, CZ edge at A); return (head, tail outcome)."""
         row.sites += 1
-        counters["sites"] += 1
         head, tail = f"h{row.qubit}s{row.sites}", f"t{row.qubit}s{row.sites}"
         reg.add_ebit(head, tail, "A", "B")
         m = reg.measure(tail, "X", source, f"tail_{tail}", party="B", transcript=tr)
         reg.apply(qk.CZ, [row.cur, head], party="A", transcript=tr, op="CZ")
-        row._pending_head = head
-        row._pending_m = m
+        return head, m
 
     def hop(row: _Row) -> None:
         """X-measure the current head; the logical state moves one site right."""
-        new_site(row)
+        head, m = new_site(row)
         a = reg.measure(row.cur, "X", source, f"hop_{row.cur}", party="A", transcript=tr)
-        row.cur = row._pending_head
-        old_x, old_z = row.x, row.z
-        row.x = _Share(old_z.a ^ a, old_z.b)
-        row.z = _Share(old_x.a, old_x.b ^ row._pending_m)
+        row.cur = head
+        row.x, row.z = _Share(row.z.a ^ a, row.z.b), _Share(row.x.a, row.x.b ^ m)
         step(f"hop_q{row.qubit}_s{row.sites}")
 
     def t_gadget(row: _Row) -> None:

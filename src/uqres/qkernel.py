@@ -478,6 +478,10 @@ def dephase(rho: DensityOperator) -> DensityOperator:
 # are carried along untouched.  ``apply_on_wires`` is that kernel; measured
 # wires are split off by ``_measure_split``.
 
+# The fork rule of both branch enumerations (circuit walker, protocol replay):
+# an outcome whose probability relative to its parent is at most PRUNE is dropped.
+PRUNE = 1e-14
+
 def apply_on_wires(amps: np.ndarray, m: np.ndarray, wires, dims) -> np.ndarray:
     """Apply an operator on a wire subset to raw amplitudes (no copy of m).
 

@@ -103,6 +103,35 @@ def test_sequential_matches_contract_on_seeded_chains():
         checked += 1
 
 
+@pytest.mark.parametrize("d, d_bond", [(2, 2), (3, 2), (2, 3), (4, 5)])
+def test_sequential_site_isometry_matches_the_loop_build(monkeypatch, d, d_bond):
+    # Each site isometry v[(b', i), b] = A^i[b', b] equals the column-by-column
+    # loop build, bit for bit.
+    rng = np.random.default_rng(10 * d + d_bond)
+    chain = MPSChain(tuple(rng.standard_normal((d, d_bond, d_bond))
+                           + 1j * rng.standard_normal((d, d_bond, d_bond))
+                           for _ in range(2)), np.eye(d_bond))
+    canon = iter(mps.left_canonicalize(chain).tensors)
+    dilate = qk._dilate_isometry
+    seen = []
+
+    def checked(v, inputs):
+        t = next(canon)
+        want = np.zeros((d_bond * d, d_bond), dtype=complex)
+        for b in range(d_bond):
+            col = np.zeros((d_bond, d), dtype=complex)
+            for i in range(d):
+                col[:, i] = t[i][:, b]
+            want[:, b] = col.reshape(-1)
+        seen.append(v.dtype == want.dtype and v.shape == want.shape
+                    and v.tobytes() == want.tobytes())
+        return dilate(v, inputs)
+
+    monkeypatch.setattr(qk, "_dilate_isometry", checked)
+    mps.sequential_prepare_detailed(chain)
+    assert seen == [True, True]
+
+
 def test_sequential_prepare_ghz_and_cluster():
     for chain in (mps.ghz_chain(5), mps.cluster_chain(5)):
         direct = mps.contract(chain)

@@ -195,9 +195,9 @@ def test_register_vector_is_bitwise_equal_to_kronecker_growth(seed, kinds):
     assert same_bits(reg.vec, want)
 
 
-def assert_rejected_unchanged(reg, call):
+def assert_rejected_unchanged(reg, call, error=InvariantError):
     names, owners, vec, max_live = list(reg.names), dict(reg.owners), reg.vec.copy(), reg.max_live
-    with pytest.raises(InvariantError):
+    with pytest.raises(error):
         call()
     assert (reg.names, reg.owners, reg.max_live) == (names, owners, max_live)
     assert same_bits(reg.vec, vec)
@@ -223,6 +223,14 @@ def test_register_rejects_a_state_with_one_name_twice():
 def test_register_rejected_state_leaves_no_owner_behind():
     reg = two_qubit_register()
     assert_rejected_unchanged(reg, lambda: reg.add_state(["c", "b"], "A", [1, 0, 0, 0]))
+
+
+def test_register_rejects_growth_past_the_live_cap():
+    reg = two_qubit_register()
+    for j in range(pr.LIVE_CAP - 2):
+        reg.add_qubit(f"f{j}", "A", [1, 0])
+    assert_rejected_unchanged(reg, lambda: reg.add_qubit("over", "A", [1, 0]),
+                              qk.CapExceededError)
 
 
 def test_register_rejects_zero_amplitudes():
