@@ -3,9 +3,12 @@
 ``uqres <measure|interference|wigner|circuit|protocol|hamiltonian|algorithm|make-goldens>
 [--in PATH]... [--out PATH] [--seed N] [--cap N]``
 
-Reports are JSON (sorted keys, fixed layout) embedding the toolkit version,
-seed and the invariant tolerance (``qkernel.ATOL``), so identical
-configurations produce byte-identical files.  Exit codes: 0 success, 2 parse error, 3 invariant/constraint
+Reports are JSON embedding the toolkit version, seed and the invariant
+tolerance (``qkernel.ATOL``), so identical configurations produce
+byte-identical files.  A report is sorted-key, two-space-indent JSON: its
+bytes are exactly ``json.dumps(doc, sort_keys=True, indent=2)`` plus one
+newline, written by ``qkernel._dumps_sorted``, which hands number tables to the
+C encoder.  Exit codes: 0 success, 2 parse error, 3 invariant/constraint
 violation, 4 resource/dimension cap exceeded.
 """
 
@@ -83,8 +86,8 @@ def _report(args, results) -> dict:
 
 
 def _serialize(doc: dict) -> str:
-    """A report's bytes: sorted keys, two-space indent, one final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """A report's bytes: ``json.dumps(doc, sort_keys=True, indent=2)`` and one final newline."""
+    return qk._dumps_sorted(doc) + "\n"
 
 
 def _write_gap_csv(path, scan) -> None:
@@ -206,11 +209,11 @@ def cmd_protocol(args) -> int:
                    "verdict": "pass"}
     elif name == "btt":
         psi = state if state is not None else qk.random_state((2,), rng)
+        t_psi = qk.apply_unitary(psi, qk.T)
         worst = 1.0
         transcripts_ok = True
         for prob, res in pr.btt_branches(psi, key):
             dec = pr.decrypt_pads(res.output, [(res.new_key.a, res.new_key.b)])
-            t_psi = qk.apply_unitary(psi, qk.T)
             worst = min(worst, qk.state_fidelity(dec, t_psi))
             transcripts_ok &= pr.lobc_violations(res.transcript) == 0
         results = {"min_fidelity": worst, "lobc_clean": bool(transcripts_ok),
@@ -271,8 +274,10 @@ def cmd_hamiltonian(args) -> int:
         results = {"fidelity_vs_direct": fid, "layers": len(layers)}
     elif action == "history":
         length = int(args.length)
+        if length < 0:
+            raise ParseFailure(f"--length must be >= 0, got {length}")
         us = [np.eye(2, dtype=complex)] * length
-        hs = ham.history_state(us, qk.zero_state((2,)))
+        hs = ham.history_state(us, qk.zero_state((2,)), cap=args.cap)
         results = {"L": length,
                    "clock_probabilities": [float(p) for p in ham.clock_probabilities(hs)]}
     elif action == "gap":
@@ -297,12 +302,14 @@ def cmd_algorithm(args) -> int:
     rng = np.random.default_rng(args.seed)
     config = _load_json(args.config) if args.config else {}
     name = args.name
-    # Every config key is read here, so a malformed config exits 2.
+    # Every config key is read here, so a malformed config exits 2, and every
+    # register size is checked against --cap before any dense work (exit 4).
     with qk._parsing("algorithm config"):
         if name == "one-control":
             n = int(config.get("qubits", 2))
             eps = float(config.get("epsilon", 0.01))
             u = matrix_from_json(config["u"]) if "u" in config else None
+            qk.HilbertSpec((2, 2 ** n if u is None else len(u)), cap=args.cap)
         elif name == "lcu":
             coeffs = qk._decode_complex(config.get(
                 "coeffs", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]), 1, "lcu coefficients")
@@ -313,9 +320,11 @@ def cmd_algorithm(args) -> int:
         elif name == "grover":
             grover = (int(config.get("n", 2)), int(config.get("marked", 0)),
                       int(config.get("iterations", 1)))
+            qk.HilbertSpec((2 ** grover[0],), cap=args.cap)
         elif name == "sandwich":
             d1 = int(config.get("control_dim", 2))
             d2 = int(config.get("data_dim", 2))
+            qk.HilbertSpec((d1, d2), cap=args.cap)
     if name == "one-control":
         report = alg.one_control_report(u if u is not None else qk.haar_unitary(2 ** n, rng),
                                         eps)

@@ -42,10 +42,13 @@ Conventions:
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -144,7 +147,7 @@ class HilbertSpec:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        return math.prod(self.dims)
 
     @property
     def n_subsystems(self) -> int:
@@ -622,6 +625,62 @@ def _encode_complex(a) -> list:
     """Nested ``[re, im]`` lists for a complex array of any rank."""
     a = np.asarray(a, dtype=complex)
     return np.stack([a.real, a.imag], -1).tolist()
+
+
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _is_number_table(v: list) -> bool:
+    """``v`` is a non-empty list of non-empty lists of exact ``float``/``int`` (no bools)."""
+    return (bool(v) and set(map(type, v)) == {list} and all(v)
+            and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(v))))
+
+
+def _dumps_sorted(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, in a fraction of the time.
+
+    With ``indent`` set, ``json`` drops its C encoder for the pure-Python one.
+    Here dicts with ``str`` keys and lists are walked in Python, and a number
+    table (such as a list of ``[re, im]`` pairs) is encoded compactly by the C
+    encoder, its layout put in by two ``str.replace`` calls: no number, ``NaN``
+    or ``Infinity`` token contains ``[``, ``]`` or ``", "``.  Everything else
+    goes to ``json.dumps`` itself.  That includes a dict with a non-``str`` key,
+    because ``json`` sorts those before turning them into strings.
+    """
+    out: list[str] = []
+    _write_sorted(doc, "", out.append)
+    return "".join(out)
+
+
+def _write_sorted(v, indent: str, put) -> None:
+    inner = indent + "  "
+    if type(v) is dict and v and all(type(k) is str for k in v):
+        sep = "{\n"
+        for k, x in sorted(v.items()):
+            put(f"{sep}{inner}{encode_basestring_ascii(k)}: ")
+            _write_sorted(x, inner, put)
+            sep = ",\n"
+        put(f"\n{indent}}}")
+    elif type(v) is list and v:
+        if _is_number_table(v):
+            cell = inner + "  "
+            put(f"[\n{inner}[\n{cell}")
+            put(json.dumps(v)[2:-2]
+                .replace("], [", f"\n{inner}],\n{inner}[\n{cell}")
+                .replace(", ", ",\n" + cell))
+            put(f"\n{inner}]\n{indent}]")
+        else:
+            sep = "[\n"
+            for x in v:
+                put(sep + inner)
+                _write_sorted(x, inner, put)
+                sep = ",\n"
+            put(f"\n{indent}]")
+    elif isinstance(v, (dict, list, tuple)):
+        # Its output has no newline but the layout's own, so it re-indents safely.
+        put(json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + indent))
+    else:
+        put(json.dumps(v))
 
 
 def _decode_complex(data, rank: int, what: str) -> np.ndarray:

@@ -316,6 +316,33 @@ def test_measure_cap_flag_exits_4(tmp_path):
     assert run(["measure", "--in", str(state), "--cap", "4"]) == 4
 
 
+def test_hamiltonian_history_cap_flag_exits_4():
+    # A 202-dim space: 2 data levels times 101 clock levels.
+    assert run(["hamiltonian", "history", "--length", "100", "--cap", "8"]) == 4
+
+
+@pytest.mark.parametrize("name, config", [
+    ("grover", {"n": 3}),
+    ("one-control", {"qubits": 3}),
+    ("sandwich", {"control_dim": 4, "data_dim": 4}),
+])
+def test_algorithm_cap_flag_exits_4(tmp_path, name, config):
+    path = tmp_path / "config.json"
+    write_json(path, config)
+    assert run(["algorithm", name, "--config", str(path), "--cap", "4"]) == 4
+
+
+def test_hamiltonian_history_negative_length_exits_2():
+    assert run(["hamiltonian", "history", "--length", "-1"]) == 2
+
+
+def test_hamiltonian_history_empty_circuit(capsys):
+    assert run(["hamiltonian", "history", "--length", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["L"] == 0
+    assert doc["results"]["clock_probabilities"] == [1.0]
+
+
 # Failed verdicts exit 3 -------------------------------------------------------
 
 def test_protocol_mbqc_failing_verdict_exits_3_with_report(tmp_path):

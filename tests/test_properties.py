@@ -1,10 +1,10 @@
-"""Property tests: exact JSON round-trips and absolute tolerance boundaries."""
+"""Property tests: exact JSON round-trips, the report writer and absolute tolerance boundaries."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqres import circuits as qc
@@ -172,6 +172,111 @@ def test_mps_round_trip_is_bit_exact(n_sites, d_bond, data):
     assert same_bits(back.boundary, chain.boundary)
     for t, u in zip(back.tensors, chain.tensors, strict=True):
         assert same_bits(t, u)
+
+
+# ---------------------------------------------------------------------------
+# Report writer: the bytes of json.dumps(doc, sort_keys=True, indent=2)
+# ---------------------------------------------------------------------------
+
+def reference_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# Tokens the writer's str.replace layout step must never split.
+TRICKY_TEXT = ["], [", ", ", "[", "]", "a], [b, c", "é", "ключ", "☃", "\n", ""]
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1.7976931348623157e308,
+                     5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 0, -1, 10 ** 30]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers())
+SCALARS = st.one_of(NUMBERS, st.booleans(), st.none(),
+                    st.sampled_from(TRICKY_TEXT), st.text(max_size=6))
+PAIR_LISTS = st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=1, max_size=5)
+NUMBER_TABLES = st.lists(st.lists(NUMBERS, min_size=1, max_size=4), min_size=1, max_size=4)
+# Near misses: a pair holding a bool, a string, None or a nested list; a ragged
+# table with an empty row; a pair list next to other lists.
+ODD_PAIRS = st.lists(
+    st.tuples(NUMBERS, st.one_of(st.booleans(), st.sampled_from(TRICKY_TEXT), st.none(),
+                                 st.lists(NUMBERS, max_size=2)))
+    .map(list), min_size=1, max_size=4)
+RAGGED = st.lists(st.lists(NUMBERS, max_size=3), min_size=1, max_size=4)
+KEYS = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=6))
+LEAVES = st.one_of(SCALARS, PAIR_LISTS, NUMBER_TABLES, ODD_PAIRS, RAGGED,
+                   st.just([]), st.just({}))
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(KEYS, inner, max_size=4),
+        # json sorts non-str keys before turning them into strings: 10 after 2.
+        st.dictionaries(st.integers(-20, 20), inner, max_size=4),
+        st.lists(st.one_of(PAIR_LISTS, inner), max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+@example([[1.0, "], ["], [2, ", "]])
+@example({"pairs": [[0.5, -0.0], [1, True]], "ragged": [[1.0], []], "none": [[None, 0.0]]})
+@example({"ints": {2: [[np.nan, np.inf]], 10: [[-np.inf, 5e-324]]}, "é": [[], {}]})
+def test_writer_matches_json_dumps(doc):
+    assert qk._dumps_sorted(doc) == reference_dumps(doc)
+
+
+def test_writer_keeps_int_key_order():
+    doc = {"rows": {2: [[0.0, -0.0]], 10: [[np.inf, np.nan]]}, "flag": True}
+    assert qk._dumps_sorted(doc) == reference_dumps(doc)
+    assert reference_dumps(doc).index('"2"') < reference_dumps(doc).index('"10"')
+
+
+def reports_of(monkeypatch, argv):
+    """Every document ``cli`` serializes while running ``argv``."""
+    docs = []
+    serialize = cli._serialize
+    monkeypatch.setattr(cli, "_serialize", lambda doc: docs.append(doc) or serialize(doc))
+    assert cli.main(argv) == 0
+    assert docs
+    return [(serialize(doc), doc) for doc in docs]
+
+
+def twelve_wire_keep_measured_circuit():
+    ops = [{"type": "gate", "name": g, "wires": [w]}
+           for w in range(12) for g in ("H", "T")]
+    ops += [{"type": "gate", "name": "CZ", "wires": [w, w + 1]} for w in range(11)]
+    for k in range(5):
+        ops += [{"type": "measure", "wire": k, "basis": "X", "out": f"m{k}"},
+                {"type": "cond", "when": {f"m{k}": 1},
+                 "gate": {"name": "Z", "wires": [6 + k]}},
+                {"type": "cond", "when": {f"m{k}": 0},
+                 "gate": {"name": "T", "wires": [11 - k]}}]
+    return {"wires": [2] * 12, "ops": ops}
+
+
+def report_argv(case, tmp_path):
+    def written(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    r = 3 ** -0.5
+    z = [[[2 ** -0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-(2 ** -0.5), 0.0]]]
+    x = [[[0.0, 0.0], [2 ** -0.5, 0.0]], [[2 ** -0.5, 0.0], [0.0, 0.0]]]
+    return {
+        "circuit-12-wires": ["circuit", "--in",
+                             written("c.json", twelve_wire_keep_measured_circuit())],
+        "wigner": ["wigner", "--in", written("s.json", {
+            "dims": [3], "amplitudes": [[r, 0.0], [0.0, r], [-r, -0.0]]})],
+        "hamiltonian-gap": ["hamiltonian", "gap", "--in",
+                            written("g.json", {"h_start": z, "h_end": x})],
+        "make-goldens": ["make-goldens", "--out", str(tmp_path / "goldens")],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["circuit-12-wires", "wigner", "hamiltonian-gap",
+                                  "make-goldens"])
+def test_real_reports_match_json_dumps(monkeypatch, tmp_path, case):
+    for text, doc in reports_of(monkeypatch, report_argv(case, tmp_path)):
+        assert text == reference_dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

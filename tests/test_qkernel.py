@@ -166,6 +166,12 @@ def test_dimension_cap():
     assert HilbertSpec((2,) * 13, cap=10000).total_dim == 8192
 
 
+def test_dimension_cap_does_not_wrap_around():
+    # 2^32 * 2^32 is 0 in int64 arithmetic; the product is exact.
+    with pytest.raises(CapExceededError):
+        HilbertSpec((2 ** 32, 2 ** 32))
+
+
 def test_immutability():
     psi = qk.plus_state(2)
     with pytest.raises(ValueError):
