@@ -196,7 +196,11 @@ def cmd_protocol(args) -> int:
             key = pr.PauliKey(*config.get("key", (1, 1)))
         elif name == "pmqc":
             programs = tuple(tuple(g) for g in config.get("programs", [["H", "T"]]))
-            cz_after = tuple(config["cz_after"]) if "cz_after" in config else None
+            if "cz_after" in config:
+                k0, k1 = config["cz_after"]
+                cz_after = (int(k0), int(k1))
+            else:
+                cz_after = None
             resources = (pr.PMQCResources(int(config["resources"]["ebits"]),
                                           int(config["resources"]["pr_boxes"]))
                          if "resources" in config else None)

@@ -13,12 +13,21 @@ runs a protocol once per outcome path for exhaustive verification, under the
 ``qkernel.PRUNE`` fork rule that the circuit walker uses too.  A protocol must
 be deterministic in its source: replaying the same outcomes meets the same
 draws with the same probabilities.
+
+``pmqc_run`` runs in stages (one injection, one hop, one T gadget or the CZ)
+and offers its state to the source after each one.  Under ``enumerate_runs``
+a run that forks off an earlier path resumes from a copy of that path's
+state at the last stage boundary before the fork, instead of rebuilding the
+register from the root; the leaves and their bits are the same either way.
+Only the first protocol of a run that asks to resume is resumed or
+checkpointed, and a run with ``on_step`` replays from the root.  ``btt`` and
+``mbqc_gate`` replay from the root as well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,6 +121,12 @@ class Transcript:
         self.events.append(TranscriptEvent(len(self.events), party, action,
                                            dict(payload or {})))
 
+    def copy(self) -> "Transcript":
+        """A copy with its own event list; the frozen events are shared."""
+        new = Transcript()
+        new.events = list(self.events)
+        return new
+
     def to_json_lines(self) -> list[str]:
         import json
         return [json.dumps({"t": e.t, "party": e.party, "action": e.action,
@@ -140,10 +155,25 @@ def measurement_bases_at(transcript: Transcript, party: str) -> set[str]:
 # ---------------------------------------------------------------------------
 
 class OutcomeSource:
+    """Where a protocol's measurement outcomes and PR-box hidden bits come from.
+
+    A protocol that runs in stages may call ``resume`` once, before its first
+    stage, and ``checkpoint`` after each stage.  Both are no-ops here, so a
+    protocol drawing from this class or ``SamplingSource`` runs from the
+    root; ``ReplaySource`` uses them to skip the stages an earlier run of the
+    same path has already run.
+    """
     probability: float
 
     def draw(self, label: str, probs) -> int:
         raise NotImplementedError
+
+    def checkpoint(self, state) -> None:
+        """Offer ``state`` (anything with a ``copy()``) at a stage boundary."""
+
+    def resume(self, fresh):
+        """The state to run from: a restored copy of a checkpoint, or ``fresh``."""
+        return fresh
 
 
 class SamplingSource(OutcomeSource):
@@ -165,14 +195,24 @@ class ReplaySource(OutcomeSource):
     """Follows a prescribed outcome prefix, then the last allowed outcome of each draw.
 
     Past the prefix, the lower allowed outcomes are kept in ``untried`` as the
-    prefixes still to run: shallow draws first, each in ascending order.
+    prefixes still to run, shallow draws first, each in ascending order, and
+    each paired with the latest checkpoint: ``(state copy, path, probability)``
+    at the last stage boundary before the draw, or ``None`` for the root.
+
+    ``start`` is the checkpoint this run starts from.  The first protocol
+    that calls ``resume`` owns the run: it gets a copy of that state, the path
+    and probability are restored to it, and only its later checkpoints are
+    kept.  A second protocol in the same run gets its fresh state, so it
+    never starts from the owner's.
     """
 
-    def __init__(self, prefix: tuple[int, ...]):
+    def __init__(self, prefix: tuple[int, ...], start=None):
         self.prefix = prefix
         self.probability = 1.0
         self.path: list[tuple[str, int]] = []
-        self.untried: list[tuple[int, ...]] = []
+        self.untried: list[tuple[tuple[int, ...], tuple | None]] = []
+        self._latest = start
+        self._owner = None
 
     def draw(self, label, probs):
         p = np.asarray(probs, dtype=float)
@@ -182,10 +222,24 @@ class ReplaySource(OutcomeSource):
         else:
             *lower, k = [j for j in range(len(p)) if p[j] > qk.PRUNE]
             taken = tuple(j for _, j in self.path)
-            self.untried.extend(taken + (j,) for j in lower)
+            self.untried.extend((taken + (j,), self._latest) for j in lower)
         self.probability *= float(p[k])
         self.path.append((label, k))
         return k
+
+    def checkpoint(self, state):
+        if state is self._owner:
+            self._latest = (state.copy(), list(self.path), self.probability)
+
+    def resume(self, fresh):
+        if self._owner is not None:
+            return fresh
+        if self._latest is None:
+            self._owner = fresh
+        else:
+            state, path, self.probability = self._latest
+            self._owner, self.path = state.copy(), list(path)
+        return self._owner
 
 
 def enumerate_runs(protocol_fn):
@@ -194,13 +248,17 @@ def enumerate_runs(protocol_fn):
     The protocol is called once per leaf and runs to its end; leaves come out
     depth first, the higher outcome of each draw first.  An outcome whose
     probability is at most ``qkernel.PRUNE`` is not followed.  The protocol
-    must be deterministic in its source (state rebuilt per call), since each
-    call replays the prefix of an earlier one.
+    must be deterministic in its source, since each call replays the prefix
+    of an earlier one.  A staged protocol (``pmqc_run``) resumes that prefix
+    from its last stage boundary before the fork rather than from the root;
+    only the first such protocol in ``protocol_fn`` is resumed, and a run
+    with ``on_step`` replays from the root.  The stack of prefixes still to
+    run, each with its checkpoint, is bounded by the depth of the search.
     """
     results = []
-    stack: list[tuple[int, ...]] = [()]
+    stack: list[tuple[tuple[int, ...], tuple | None]] = [((), None)]
     while stack:
-        src = ReplaySource(stack.pop())
+        src = ReplaySource(*stack.pop())
         res = protocol_fn(src)
         results.append((src.probability, res))
         stack.extend(src.untried)
@@ -230,6 +288,13 @@ class Register:
         self.owners: dict[str, str] = {}
         self.vec = np.ones(1, dtype=complex)
         self.max_live = 0
+
+    def copy(self) -> "Register":
+        """A copy that shares only ``vec``, which every operation rebinds."""
+        new = Register()
+        new.names, new.owners = list(self.names), dict(self.owners)
+        new.vec, new.max_live = self.vec, self.max_live
+        return new
 
     def index(self, name: str) -> int:
         try:
@@ -397,7 +462,7 @@ class PMQCResources:
     pr_boxes: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Share:
     """A frame bit split into an A-known part and a B-known part."""
     a: int = 0
@@ -458,6 +523,23 @@ def _program_order(programs, cz_after):
             + [(q, g) for q in (0, 1) for g in programs[q][cz_after[q]:]])
 
 
+class _PMQCState:
+    """What a pmqc run carries from one stage to the next.
+
+    ``copy`` shares only what is never written in place: the register vector,
+    the frozen transcript events and the frozen ``_Share`` pairs.
+    """
+
+    def __init__(self, reg: Register, rows: list[_Row], tr: Transcript,
+                 counters: dict[str, int], stage: int = 0):
+        self.reg, self.rows, self.tr = reg, rows, tr
+        self.counters, self.stage = counters, stage
+
+    def copy(self) -> "_PMQCState":
+        return _PMQCState(self.reg.copy(), [replace(r) for r in self.rows],
+                          self.tr.copy(), dict(self.counters), self.stage)
+
+
 def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
              source: OutcomeSource, resources: PMQCResources | None = None,
              on_step=None) -> PMQCResult:
@@ -467,8 +549,14 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     (which simultaneously pads it); A executes the circuit-specific tailed
     cluster with X/Z measurements only; every T gate triggers one
     linearization event consuming exactly one ebit and one PR box.  The final
-    broadcast lets B assemble the output pads.  ``on_step(label, register)``
-    is invoked after each protocol stage for privacy instrumentation.
+    broadcast lets B assemble the output pads.
+
+    The run is a list of stages (one injection, one hop, one T gadget or the
+    CZ) over one ``_PMQCState``.  It asks ``source.resume`` for its starting
+    state and offers ``source.checkpoint`` the state after each stage, so
+    under ``enumerate_runs`` a replayed path starts at its last stage boundary
+    before the fork.  ``on_step(label, register)`` is invoked after each stage
+    instead, for privacy instrumentation; such a run replays from the root.
     """
     programs = tuple(tuple(g.upper() for g in gates) for gates in programs)
     _validate_program(programs, cz_after)
@@ -481,30 +569,21 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
             f"program needs {t_total} ebits and PR boxes, got "
             f"{resources.ebits} ebits / {resources.pr_boxes} boxes")
 
-    tr = Transcript()
-    reg = Register()
-    counters = {"ebits": 0, "boxes": 0, "t_events": 0}
-
-    def step(label):
-        if on_step is not None:
-            on_step(label, reg)
-
-    # Inject plaintext through the input-site tails (Bell measurement at B).
-    reg.add_state([f"pi{q}" for q in range(nq)], "B", plaintext.amplitudes)
-
-    rows = []
-    for q in range(nq):
+    def inject(st: _PMQCState, q: int) -> str:
+        """Inject plaintext qubit q through its input-site tail (Bell measurement at B)."""
+        reg, tr = st.reg, st.tr
         head, tail = f"h{q}s0", f"t{q}s0"
         reg.add_ebit(head, tail, "A", "B")
         reg.apply(qk.CX, [f"pi{q}", tail], party="B", transcript=tr, op="CX")
         reg.apply(qk.H, [f"pi{q}"], party="B", transcript=tr, op="H")
         m1 = reg.measure(f"pi{q}", "Z", source, f"bell{q}a", party="B", transcript=tr)
         m2 = reg.measure(tail, "Z", source, f"bell{q}b", party="B", transcript=tr)
-        rows.append(_Row(q, head, _Share(0, m2), _Share(0, m1)))
-        step(f"inject_q{q}")
+        st.rows.append(_Row(q, head, _Share(0, m2), _Share(0, m1)))
+        return f"inject_q{q}"
 
-    def new_site(row: _Row) -> tuple[str, int]:
+    def new_site(st: _PMQCState, row: _Row) -> tuple[str, int]:
         """Add a tailed site (tail removed at B, CZ edge at A); return (head, tail outcome)."""
+        reg, tr = st.reg, st.tr
         row.sites += 1
         head, tail = f"h{row.qubit}s{row.sites}", f"t{row.qubit}s{row.sites}"
         reg.add_ebit(head, tail, "A", "B")
@@ -512,21 +591,24 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         reg.apply(qk.CZ, [row.cur, head], party="A", transcript=tr, op="CZ")
         return head, m
 
-    def hop(row: _Row) -> None:
+    def hop(st: _PMQCState, q: int) -> str:
         """X-measure the current head; the logical state moves one site right."""
-        head, m = new_site(row)
-        a = reg.measure(row.cur, "X", source, f"hop_{row.cur}", party="A", transcript=tr)
+        row = st.rows[q]
+        head, m = new_site(st, row)
+        a = st.reg.measure(row.cur, "X", source, f"hop_{row.cur}", party="A",
+                           transcript=st.tr)
         row.cur = head
         row.x, row.z = _Share(row.z.a ^ a, row.z.b), _Share(row.x.a, row.x.b ^ m)
-        step(f"hop_q{row.qubit}_s{row.sites}")
+        return f"hop_q{q}_s{row.sites}"
 
-    def t_gadget(row: _Row) -> None:
+    def t_gadget(st: _PMQCState, q: int) -> str:
         """Imprint T on the current site and linearize the S byproduct.
 
         Consumes one fresh ebit and one PR box; A's S-power uses only her own
         frame share, B's only hers, and the box output bits z_A/z_B absorb the
         cross term, so the pad stays Pauli with shares intact.
         """
+        reg, tr, row, counters = st.reg, st.tr, st.rows[q], st.counters
         counters["t_events"] += 1
         counters["ebits"] += 1
         counters["boxes"] += 1
@@ -548,37 +630,48 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         # correction conjugates back through X^x, restoring Z^z exactly, so
         # only the disentangling outcome enters the frame.
         row.z = _Share(row.z.a, row.z.b ^ m_g)
-        step(f"tgadget_q{row.qubit}")
+        return f"tgadget_q{q}"
 
-    def run_gate(row: _Row, g: str) -> None:
-        if g == "H":
-            hop(row)
-        else:
-            t_gadget(row)
-            hop(row)
-            hop(row)
+    def apply_cz(st: _PMQCState, q: None) -> str:
+        r0, r1 = st.rows
+        st.reg.apply(qk.CZ, [r0.cur, r1.cur], party="A", transcript=st.tr, op="CZ")
+        x0, x1 = r0.x, r1.x
+        r0.z = _Share(r0.z.a ^ x1.a, r0.z.b ^ x1.b)
+        r1.z = _Share(r1.z.a ^ x0.a, r1.z.b ^ x0.b)
+        return "cz"
 
-    def apply_cz() -> None:
-        reg.apply(qk.CZ, [rows[0].cur, rows[1].cur], party="A", transcript=tr, op="CZ")
-        x0, x1 = rows[0].x, rows[1].x
-        rows[0].z = _Share(rows[0].z.a ^ x1.a, rows[0].z.b ^ x1.b)
-        rows[1].z = _Share(rows[1].z.a ^ x0.a, rows[1].z.b ^ x0.b)
-        step("cz")
-
+    stages = [(inject, q) for q in range(nq)]
     for q, g in _program_order(programs, cz_after):
         if q is None:
-            apply_cz()
+            stages.append((apply_cz, None))
+        elif g == "H":
+            stages.append((hop, q))
         else:
-            run_gate(rows[q], g)
+            stages += [(t_gadget, q), (hop, q), (hop, q)]
 
+    st = _PMQCState(Register(), [], Transcript(), {"ebits": 0, "boxes": 0, "t_events": 0})
+    st.reg.add_state([f"pi{q}" for q in range(nq)], "B", plaintext.amplitudes)
+    if on_step is None:
+        st = source.resume(st)
+    while st.stage < len(stages):
+        stage, q = stages[st.stage]
+        label = stage(st, q)
+        st.stage += 1
+        if on_step is None:
+            source.checkpoint(st)
+        else:
+            on_step(label, st.reg)
+
+    rows, tr = st.rows, st.tr
     tr.log("A", "broadcast",
            {"payload": {f"shares_q{r.qubit}": [r.x.a, r.z.a] for r in rows}})
     tr.log("B", "broadcast", {"payload": {}})
     keys = tuple((r.x.value, r.z.value) for r in rows)
-    output = reg.extract([r.cur for r in rows])
-    step("end")
-    return PMQCResult(output, keys, tr, counters["ebits"], counters["boxes"],
-                      counters["t_events"], reg.max_live)
+    output = st.reg.extract([r.cur for r in rows])
+    if on_step is not None:
+        on_step("end", st.reg)
+    return PMQCResult(output, keys, tr, st.counters["ebits"], st.counters["boxes"],
+                      st.counters["t_events"], st.reg.max_live)
 
 
 def decrypt_pads(state: StateVector, keys) -> StateVector:

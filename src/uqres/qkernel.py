@@ -140,10 +140,11 @@ class HilbertSpec:
         if not dims:
             raise InvariantError("HilbertSpec needs at least one subsystem")
         if any(d < 1 for d in dims):
-            raise InvariantError(f"subsystem dimensions must be >= 1, got {dims}")
+            raise InvariantError(
+                f"subsystem dimensions must be >= 1, got {_dims_text(dims)}")
         if self.total_dim > self.cap:
             raise CapExceededError(
-                f"total dimension {self.total_dim} exceeds cap {self.cap}")
+                f"total dimension {_int_text(self.total_dim)} exceeds cap {self.cap}")
 
     @property
     def total_dim(self) -> int:
@@ -155,6 +156,22 @@ class HilbertSpec:
 
     def __mul__(self, other: "HilbertSpec") -> "HilbertSpec":
         return HilbertSpec(self.dims + other.dims, cap=max(self.cap, other.cap))
+
+
+def _int_text(n: int) -> str:
+    """``n`` in decimal, or as ``~2^k`` when it has more than 64 bits.
+
+    Python refuses to print an int of more than 4300 digits, and a dimension
+    such as 2^n for n qubits passes that size from n = 14,285 on.
+    """
+    if abs(n).bit_length() <= 64:
+        return str(n)
+    return f"{'-' if n < 0 else ''}~2^{round(math.log2(abs(n)))}"
+
+
+def _dims_text(dims: tuple[int, ...]) -> str:
+    """``str(dims)``, with each entry written by ``_int_text``."""
+    return f"({', '.join(map(_int_text, dims))}{',' if len(dims) == 1 else ''})"
 
 
 def _single(d: int, cap: int = DEFAULT_DIM_CAP) -> HilbertSpec:

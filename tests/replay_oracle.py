@@ -10,13 +10,15 @@ runs each call to a leaf instead and is checked against this engine.
 
 import numpy as np
 
+from uqres import protocols as pr
+
 
 class _Fork(Exception):
     def __init__(self, options):
         self.options = options
 
 
-class ReplaySource:
+class ReplaySource(pr.OutcomeSource):
     """Follows a prescribed outcome prefix, forking when the prefix runs out."""
 
     def __init__(self, prefix: tuple[int, ...]):

@@ -163,6 +163,13 @@ def test_protocol_pmqc_shortfall(tmp_path, capsys):
     assert run(["protocol", "pmqc", "--config", str(config)]) == 3
 
 
+@pytest.mark.parametrize("cz_after", [[1], [1, 2, 3], 5, ["a", "b"]])
+def test_protocol_pmqc_malformed_cz_after_exits_2(tmp_path, cz_after):
+    config = tmp_path / "pmqc.json"
+    write_json(config, {"programs": [["H"], ["T"]], "cz_after": cz_after})
+    assert run(["protocol", "pmqc", "--config", str(config)]) == 2
+
+
 def test_protocol_mbqc(capsys):
     assert run(["protocol", "mbqc", "--seed", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -330,6 +337,15 @@ def test_algorithm_cap_flag_exits_4(tmp_path, name, config):
     path = tmp_path / "config.json"
     write_json(path, config)
     assert run(["algorithm", name, "--config", str(path), "--cap", "4"]) == 4
+
+
+@pytest.mark.parametrize("n", [64, 20000])
+def test_grover_beyond_the_cap_exits_4(tmp_path, capsys, n):
+    # 2^20000 has more than 4300 digits, more than Python will print.
+    path = tmp_path / "config.json"
+    write_json(path, {"n": n})
+    assert run(["algorithm", "grover", "--config", str(path)]) == 4
+    assert f"total dimension ~2^{n} exceeds cap" in capsys.readouterr().err
 
 
 def test_hamiltonian_history_negative_length_exits_2():

@@ -1,9 +1,10 @@
 """Exhaustive protocol enumeration against the replay-from-the-root oracle.
 
-``enumerate_runs`` calls a protocol once per leaf; the oracle in
-``replay_oracle.py`` throws a partial run away at every fork.  Both must give
-the same leaves in the same order, bit for bit: probabilities, outputs, keys
-and transcripts.
+``enumerate_runs`` calls a protocol once per leaf and resumes ``pmqc_run``
+from its last stage boundary before the fork; the oracle in
+``replay_oracle.py`` replays from the root and throws a partial run away at
+every fork.  Both must give the same leaves in the same order, bit for bit:
+probabilities, outputs, keys and transcripts.
 """
 
 import dataclasses
@@ -64,7 +65,7 @@ def assert_same_as_oracle(pairs, calls=1):
             assert same(g, w), leaf
 
 
-class Pinned:
+class Pinned(pr.OutcomeSource):
     """Fixes the first draws of a run, then defers to the enumeration's source."""
 
     def __init__(self, outcomes, source):
@@ -115,6 +116,68 @@ def test_pmqc_step_snapshots_match_the_oracle(enumerations):
 
     pr.enumerate_runs(run)
     assert_same_as_oracle(enumerations)
+
+
+def test_two_pmqc_runs_on_one_source_match_the_oracle(enumerations):
+    # Only the first run resumes and checkpoints; the second replays from the
+    # root even where its forks carry the first run's checkpoint.
+    psi1 = qk.random_state((2,), np.random.default_rng(22))
+    psi2 = qk.random_state((2,), np.random.default_rng(23))
+    calls = 0
+
+    def both_runs(src):
+        nonlocal calls
+        calls += 1
+        assert calls <= 4 * 1024, "the enumeration does not end"   # both engines
+        return (pr.pmqc_run(psi1, [["H", "H"]], source=src),
+                pr.pmqc_run(psi2, [["H"]], source=src))
+
+    pr.enumerate_runs(both_runs)
+    assert_same_as_oracle(enumerations)
+    assert len(enumerations[0][0]) == 1024
+
+
+def test_pmqc_resumes_from_the_last_stage_boundary(monkeypatch):
+    # [H,T] runs five stages: injection, hop, T gadget, hop, hop, with these
+    # draws and Register.measure calls each (the PR box draws but does not
+    # measure).  The root run measures all 10 times.  Each of the 2^d
+    # untried prefixes that fork at draw d resumes at the start of the stage
+    # holding that draw.
+    draws, measures = (2, 2, 3, 2, 2), (2, 2, 2, 2, 2)
+    stage_of = [s for s, n in enumerate(draws) for _ in range(n)]
+    predicted = sum(measures) + sum(2 ** d * sum(measures[stage_of[d]:])
+                                    for d in range(sum(draws)))
+    assert predicted == 5416            # replay from the root makes 2048 * 10
+    counts = {"measure": 0, "protocol": 0}
+    measure = pr.Register.measure
+
+    def counted_measure(self, *args, **kwargs):
+        counts["measure"] += 1
+        return measure(self, *args, **kwargs)
+
+    def protocol(src):
+        counts["protocol"] += 1
+        return pr.pmqc_run(qk.plus_state(2), [["H", "T"]], source=src)
+
+    monkeypatch.setattr(pr.Register, "measure", counted_measure)
+    assert len(pr.enumerate_runs(protocol)) == 2048
+    assert counts == {"measure": predicted, "protocol": 2048}
+
+
+def test_leaves_share_no_transcript_or_output():
+    runs = pr.enumerate_runs(lambda src: pr.pmqc_run(
+        qk.plus_state(2), [["H", "H"]], source=src))
+    results = [r for _, r in runs]
+    assert len({id(r.transcript) for r in results}) == len(results)
+    assert len({id(r.transcript.events) for r in results}) == len(results)
+    outputs = [r.output.amplitudes for r in results]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(outputs) for b in outputs[:i])
+    expected = [list(r.transcript.events) for r in results]
+    for i, r in enumerate(results):
+        r.transcript.log("A", "message", {"leaf": i})
+        expected[i].append(r.transcript.events[-1])
+        assert [s.transcript.events for s in results] == expected
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (0, 1), (1, 0), (1, 1)])
