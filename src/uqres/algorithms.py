@@ -149,9 +149,8 @@ def lcu_apply(coeffs, unitaries, psi: StateVector) -> tuple[StateVector, float]:
     us = [np.asarray(u, dtype=complex) for u in unitaries]
     if len(us) != c.size or c.size == 0:
         raise InvariantError("need one unitary per coefficient")
-    d = us[0].shape[0]
-    if psi.dim != d:
-        raise InvariantError("state dimension does not match the unitaries")
+    for i, u in enumerate(us):
+        qk._require_unitary(u, psi.dim, f"lcu term {i} is not a {psi.dim} x {psi.dim} unitary")
     lam = float(np.abs(c).sum())
     if lam < 1e-12:
         raise InvariantError("all coefficients vanish")

@@ -22,6 +22,7 @@ and verified by :func:`is_deterministic`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,7 @@ class Gate:
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvariantError("gate matrix must be square")
-        qk._require_close(m.conj().T @ m, np.eye(m.shape[0]), qk.ATOL,
-                          f"gate {self.name or ''} is not unitary")
+        qk._require_unitary(m, None, f"gate {self.name or ''} is not a square unitary")
 
 
 @dataclass(frozen=True)
@@ -115,36 +113,30 @@ class Circuit:
         discarded: set[int] = set()
         names: set[str] = set()
 
-        def check_active(ws, what):
+        def place(ws, d_op, what):
+            """Wires in range, still active and distinct; operator dimension d_op fits them."""
             for w in ws:
                 if not (0 <= w < n):
                     raise InvariantError(f"{what} wire {w} out of range")
                 if w in measured or w in discarded:
                     raise InvariantError(f"{what} acts on wire {w} after measurement/discard")
+            if len(set(ws)) != len(ws):
+                raise InvariantError(f"{what} wires {ws} repeat a wire")
+            if d_op is not None and d_op != math.prod(dims[w] for w in ws):
+                raise InvariantError(f"{what} dimension {d_op} does not match wires {ws}")
 
         for ins_ in ins:
             if isinstance(ins_, Gate):
-                check_active(ins_.wires, "gate")
-                if len(set(ins_.wires)) != len(ins_.wires):
-                    raise InvariantError(f"gate wires {ins_.wires} repeat a wire")
-                d_sub = int(np.prod([dims[w] for w in ins_.wires]))
-                if ins_.matrix.shape != (d_sub, d_sub):
-                    raise InvariantError(
-                        f"gate dimension {ins_.matrix.shape[0]} does not match wires {ins_.wires}")
+                place(ins_.wires, ins_.matrix.shape[0], "gate")
             elif isinstance(ins_, Mux):
-                check_active((ins_.control,) + ins_.targets, "mux")
-                mux_wires = (ins_.control,) + ins_.targets
-                if len(set(mux_wires)) != len(mux_wires):
-                    raise InvariantError("mux control/target wires overlap")
-                if len(ins_.branches) != dims[ins_.control]:
+                mux = ins_.multiplexer
+                place((ins_.control,) + ins_.targets, mux.control_dim * mux.target_dim, "mux")
+                if mux.control_dim != dims[ins_.control]:
                     raise InvariantError(
-                        f"mux branch count {len(ins_.branches)} != control dimension "
+                        f"mux branch count {mux.control_dim} != control dimension "
                         f"{dims[ins_.control]}")
-                d_sub = int(np.prod([dims[w] for w in ins_.targets]))
-                if ins_.branches[0].shape != (d_sub, d_sub):
-                    raise InvariantError("mux branch dimension does not match target wires")
             elif isinstance(ins_, Measure):
-                check_active((ins_.wire,), "measure")
+                place((ins_.wire,), None, "measure")
                 if isinstance(ins_.basis, str):
                     if ins_.basis not in ("Z", "X", "Y"):
                         raise InvariantError(f"unknown basis {ins_.basis!r}")
@@ -158,7 +150,7 @@ class Circuit:
                 unknown = set(ins_.when) - names
                 if unknown:
                     raise InvariantError(f"conditioned gate references unmeasured {unknown}")
-                check_active(ins_.gate.wires, "conditioned gate")
+                place(ins_.gate.wires, ins_.gate.matrix.shape[0], "conditioned gate")
             elif isinstance(ins_, Discard):
                 w = ins_.wire
                 if w in discarded:
@@ -189,10 +181,7 @@ def _basis_matrix(basis, d: int) -> np.ndarray:
             return np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
         raise InvariantError(f"unknown basis {basis!r}")
     b = np.asarray(basis, dtype=complex)
-    message = "custom measurement basis must be a unitary of the wire dimension"
-    if b.shape != (d, d):
-        raise InvariantError(message)
-    qk._require_close(b.conj().T @ b, np.eye(d), qk.ATOL, message)
+    qk._require_unitary(b, d, "custom measurement basis must be a unitary of the wire dimension")
     return b
 
 
@@ -446,8 +435,8 @@ def contextual_from_lcu(target: np.ndarray, coeffs, unitaries,
         u1 = qk._dilate_isometry(alpha[:, None], [0])
     else:
         u1 = np.asarray(prep, dtype=complex)
-        if np.abs(u1[:, 0] - alpha).max() > 1e-10:
-            raise InvariantError("prep's first column must equal the amplitude vector")
+        qk._require_close(u1[:, 0], alpha, qk.ATOL,
+                          "prep's first column must equal the amplitude vector")
     u2 = u1.conj().T
     corrections = []
     for k in range(d1):
@@ -457,8 +446,8 @@ def contextual_from_lcu(target: np.ndarray, coeffs, unitaries,
         if scale < 1e-12:
             corrections.append(np.eye(d2, dtype=complex))   # branch never occurs
             continue
-        if np.abs(gram - scale * np.eye(d2)).max() > 1e-9:
-            raise InvariantError(f"branch {k} is not proportional to a unitary")
+        qk._require_close(gram, scale * np.eye(d2), 1e-9,
+                          f"branch {k} is not proportional to a unitary")
         corrections.append(target @ bk.conj().T / np.sqrt(scale))
     return contextual_circuit(u1, Multiplexer(tuple(us)), u2, corrections)
 
@@ -557,7 +546,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
     for ins in circuit.instructions:
         if isinstance(ins, Gate):
             entry = {"type": "gate", "wires": list(ins.wires)}
-            if ins.name and ins.name in qk.GATES and np.allclose(qk.GATES[ins.name], ins.matrix):
+            if ins.name in qk.GATES and np.array_equal(qk.GATES[ins.name], ins.matrix):
                 entry["name"] = ins.name
             else:
                 entry["matrix"] = enc(ins.matrix)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qkernel as qk
-from .qkernel import (CapExceededError, HilbertSpec, InvariantError, StateVector,
-                      UnitaryOp)
+from .qkernel import HilbertSpec, InvariantError, StateVector, UnitaryOp
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +39,7 @@ class HamiltonianTerm:
         object.__setattr__(self, "support", tuple(int(s) for s in self.support))
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvariantError("term matrix must be square")
-        qk._require_close(m, m.conj().T, qk.ATOL, "term matrix must be Hermitian within 1e-10")
+        qk._require_hermitian(m, qk.ATOL, "term matrix must be Hermitian within 1e-10")
         if len(set(self.support)) != len(self.support):
             raise InvariantError("term support has repeated sites")
 
@@ -98,7 +95,7 @@ def assemble(terms: TermSum) -> np.ndarray:
 def is_stoquastic(h, basis: np.ndarray | None = None, tol: float = 1e-10) -> bool:
     """True iff all off-diagonal entries are real and non-positive in the basis."""
     m = assemble(h) if isinstance(h, TermSum) else np.asarray(h, dtype=complex)
-    qk._require_close(m, m.conj().T, 1e-9, "stoquasticity is defined for Hermitian matrices")
+    qk._require_hermitian(m, 1e-9, "stoquasticity is defined for Hermitian matrices")
     if basis is not None:
         b = np.asarray(basis, dtype=complex)
         m = b.conj().T @ m @ b
@@ -228,8 +225,8 @@ def hqca_run(layers, data: StateVector) -> StateVector:
             # Side conditions: ancilla flipped to |0>, program unchanged.
             tens = big.reshape(dims)
             out = tens[0, program]
-            if abs(float(np.vdot(out, out).real) - 1.0) > 1e-9:
-                raise InvariantError("quench left ancilla/program registers dirty")
+            qk._require_close(float(np.vdot(out, out).real), 1.0, 1e-9,
+                              "quench left ancilla/program registers dirty")
             amps = out.reshape(-1)
     return StateVector(data.spec, amps / np.linalg.norm(amps))
 
@@ -259,9 +256,8 @@ class HistoryState:
     def __post_init__(self):
         if self.length < 0:
             raise InvariantError("circuit length must be >= 0")
-        marg = clock_probabilities(self)
-        if np.abs(marg - 1.0 / (self.length + 1)).max() > 1e-10:
-            raise InvariantError("history-state clock marginal is not uniform")
+        qk._require_close(clock_probabilities(self), 1.0 / (self.length + 1), qk.ATOL,
+                          "history-state clock marginal is not uniform")
 
     @property
     def clock_dim(self) -> int:
@@ -277,14 +273,11 @@ def history_state(circuit, psi0: StateVector, cap: int = qk.DEFAULT_DIM_CAP) -> 
     """|Phi> = (L+1)^{-1/2} sum_l (U_l ... U_1 |psi0>) |l>."""
     us = [np.asarray(u, dtype=complex) for u in circuit]
     length = len(us)
-    d = psi0.dim
-    if d * (length + 1) > cap:
-        raise CapExceededError(f"history dimension {d * (length + 1)} exceeds cap {cap}")
+    spec = HilbertSpec(psi0.spec.dims + (length + 1,), cap=cap)
     snapshots = [psi0.amplitudes]
     for u in us:
         snapshots.append(u @ snapshots[-1])
     amps = np.stack(snapshots, axis=1).reshape(-1) / math.sqrt(length + 1)
-    spec = HilbertSpec(psi0.spec.dims + (length + 1,), cap=cap)
     return HistoryState(length, StateVector(spec, amps))
 
 
@@ -325,6 +318,8 @@ def adiabatic_gap_scan(h_start: np.ndarray, h_end: np.ndarray,
     b = np.asarray(h_end, dtype=complex)
     if a.shape != b.shape:
         raise InvariantError("endpoint Hamiltonians differ in dimension")
+    for h, which in ((a, "start"), (b, "end")):
+        qk._require_hermitian(h, qk.ATOL, f"{which} Hamiltonian must be Hermitian within 1e-10")
     if a.shape[0] < 2:
         raise InvariantError("need dimension >= 2 for a spectral gap")
     if grid < 2:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qkernel as qk
-from .qkernel import CapExceededError, HilbertSpec, InvariantError, StateVector
+from .qkernel import HilbertSpec, InvariantError, StateVector
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,7 @@ def fusion_projector(d: int = 2) -> np.ndarray:
 
 def contract(chain: MPSChain, cap: int = qk.DEFAULT_DIM_CAP) -> StateVector:
     """psi_{i1..iN} = tr(B A^{iN} ... A^{i1}), normalized."""
-    dims = chain.phys_dims
-    total = int(np.prod(dims))
-    if total > cap:
-        raise CapExceededError(f"contracted dimension {total} exceeds cap {cap}")
+    spec = HilbertSpec(chain.phys_dims, cap=cap)
     d_bond = chain.bond_dim
     # acc[(i1..ik)] = A^{ik} ... A^{i1}; flattening keeps i1 most significant.
     acc = np.eye(d_bond, dtype=complex).reshape(1, d_bond, d_bond)
@@ -189,7 +186,7 @@ def contract(chain: MPSChain, cap: int = qk.DEFAULT_DIM_CAP) -> StateVector:
     norm = np.linalg.norm(amps)
     if norm < 1e-12:
         raise InvariantError("MPS contracts to the zero vector")
-    return StateVector(HilbertSpec(dims, cap=cap), amps / norm)
+    return StateVector(spec, amps / norm)
 
 
 def left_canonicalize(chain: MPSChain) -> MPSChain:
@@ -237,10 +234,8 @@ def sequential_prepare_detailed(chain: MPSChain,
     """
     canon = left_canonicalize(chain)
     d_bond = canon.bond_dim
-    dims = canon.phys_dims
-    total = d_bond * d_bond * int(np.prod(dims))
-    if total > cap:
-        raise CapExceededError(f"sequential register dimension {total} exceeds cap {cap}")
+    HilbertSpec((d_bond, d_bond) + canon.phys_dims, cap=cap)   # the whole register
+    spec = HilbertSpec(canon.phys_dims, cap=cap)
 
     reg_dims = [d_bond, d_bond]            # (ref, bond)
     amps = _max_entangled_pair(d_bond)
@@ -267,8 +262,7 @@ def sequential_prepare_detailed(chain: MPSChain,
     prob = float(np.vdot(post, post).real)
     if prob < 1e-12:
         raise InvariantError("boundary post-selection annihilates the state")
-    state = StateVector(HilbertSpec(tuple(dims), cap=cap), post / math.sqrt(prob))
-    return state, prob
+    return StateVector(spec, post / math.sqrt(prob)), prob
 
 
 def sequential_prepare(chain: MPSChain, cap: int = qk.DEFAULT_DIM_CAP) -> StateVector:
@@ -308,11 +302,8 @@ def cluster_state(g: GraphSpec, cap: int = qk.DEFAULT_DIM_CAP) -> StateVector:
     Wire layout: head qubits are wires 0..n-1 in vertex order; tail qubits (for
     flagged vertices) follow, in vertex order.  CZ edges act on heads only.
     """
-    n_tails = sum(g.tails) if g.tails else 0
-    total_qubits = g.n + n_tails
-    if 2 ** total_qubits > cap:
-        raise CapExceededError(f"cluster on {total_qubits} qubits exceeds cap {cap}")
-    dims = (2,) * total_qubits
+    spec = HilbertSpec((2,) * (g.n + sum(g.tails)), cap=cap)
+    dims = spec.dims
     if not g.tailed:
         amps = np.full(2 ** g.n, 2 ** (-g.n / 2), dtype=complex)
     else:
@@ -332,7 +323,7 @@ def cluster_state(g: GraphSpec, cap: int = qk.DEFAULT_DIM_CAP) -> StateVector:
         amps = tens.reshape(-1)
     for a, b in g.edges:
         amps = qk.apply_on_wires(amps, qk.CZ, [a, b], dims)
-    return StateVector(HilbertSpec(dims, cap=cap), amps)
+    return StateVector(spec, amps)
 
 
 def tail_wire(g: GraphSpec, v: int) -> int:

@@ -29,12 +29,16 @@ of being rechecked against the 1e-10 trace tolerance.
 A density operator's spectrum is computed at most once: the constructor's
 positivity check keeps it, and :meth:`DensityOperator.eigenvalues` reuses it.
 
+One helper decides each invariant, for every module: closeness
+(:func:`_require_close`, absolute, ``rtol = 0``), Hermiticity
+(:func:`_require_hermitian`), unitarity (:func:`_require_unitary`) and the
+dimension cap (:class:`HilbertSpec`, built before the dense work and reused
+for the result).  NaN fails every check.
+
 Conventions:
   - Subsystem order is big-endian: the leftmost subsystem in ``dims`` is the most
     significant digit of the composite basis index (wire 0 = top wire).
-  - Invariant tolerances are 1e-10 unless a type states otherwise.  They are
-    absolute: a check fails when max|a - b| exceeds the tolerance, with no
-    relative slack (``rtol = 0``).
+  - Invariant tolerances are 1e-10 unless a type states otherwise.
   - Eigenvalues of density operators in [-1e-10, 0] are clamped to 0 before
     entropies are taken.
 """
@@ -78,9 +82,28 @@ class ParseFailure(UqresError):
 
 
 def _require_close(a, b, atol: float, message: str) -> None:
-    """Raise :class:`InvariantError` unless max|a - b| <= atol (no relative slack)."""
-    if not np.abs(a - b).max(initial=0.0) <= atol:
+    """Raise :class:`InvariantError` unless max|a - b| <= atol (no relative slack, NaN fails)."""
+    diff = abs(a - b)
+    if isinstance(diff, np.ndarray):
+        diff = diff.max(initial=0.0)
+    if not diff <= atol:
         raise InvariantError(message)
+
+
+def _require_hermitian(m: np.ndarray, atol: float, message: str) -> None:
+    """Raise :class:`InvariantError` unless ``m`` is square with max|m - m†| <= atol."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvariantError(message)
+    _require_close(m, m.conj().T, atol, message)
+
+
+def _require_unitary(m: np.ndarray, d: int | None, message: str) -> None:
+    """Raise :class:`InvariantError` unless ``m`` is a d x d unitary (d = None: any d)."""
+    if d is None and m.ndim == 2:
+        d = m.shape[0]
+    if m.shape != (d, d):
+        raise InvariantError(message)
+    _require_close(m.conj().T @ m, np.eye(d), ATOL, message)
 
 
 def _as_complex_array(data, shape_hint: str) -> np.ndarray:
@@ -192,8 +215,7 @@ class StateVector:
             raise InvariantError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.spec.total_dim},)")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-10:
-            raise InvariantError(f"state not normalized: |psi|^2 = {norm2!r}")
+        _require_close(norm2, 1.0, ATOL, f"state not normalized: |psi|^2 = {norm2!r}")
 
     @property
     def dim(self) -> int:
@@ -220,10 +242,9 @@ class DensityOperator:
         d = self.spec.total_dim
         if mat.shape != (d, d):
             raise InvariantError(f"density matrix has shape {mat.shape}, expected ({d}, {d})")
-        _require_close(mat, mat.conj().T, ATOL, "density matrix not Hermitian within 1e-10")
+        _require_hermitian(mat, ATOL, "density matrix not Hermitian within 1e-10")
         tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise InvariantError(f"density matrix trace {tr!r} != 1")
+        _require_close(tr, 1.0, ATOL, f"density matrix trace {tr!r} != 1")
         lo = float(self._spectrum.min())
         if lo < -1e-10:
             raise InvariantError(f"density matrix has negative eigenvalue {lo!r}")
@@ -257,9 +278,7 @@ class UnitaryOp:
         mat = _as_complex_array(self.matrix, "unitary matrix")
         object.__setattr__(self, "matrix", mat)
         d = self.spec.total_dim
-        if mat.shape != (d, d):
-            raise InvariantError(f"unitary has shape {mat.shape}, expected ({d}, {d})")
-        _require_close(mat.conj().T @ mat, np.eye(d), ATOL, "matrix is not unitary within 1e-10")
+        _require_unitary(mat, d, f"matrix is not a {d} x {d} unitary within 1e-10")
 
     @property
     def dim(self) -> int:
@@ -440,10 +459,9 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         cur_n = n - removed
         traced = np.trace(traced, axis1=idx, axis2=idx + cur_n)
         removed += 1
-    kept_dims = tuple(dims[k] for k in keep)
-    d_keep = int(np.prod(kept_dims))
-    return _trusted(DensityOperator, spec=HilbertSpec(kept_dims, cap=rho.spec.cap),
-                    matrix=traced.reshape(d_keep, d_keep))
+    spec = HilbertSpec(tuple(dims[k] for k in keep), cap=rho.spec.cap)
+    return _trusted(DensityOperator, spec=spec,
+                    matrix=traced.reshape(spec.total_dim, spec.total_dim))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

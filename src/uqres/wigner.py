@@ -52,8 +52,8 @@ class WignerTable:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.d, self.d):
             raise InvariantError(f"Wigner table shape {vals.shape}, expected ({self.d}, {self.d})")
-        if abs(vals.sum() - 1.0) > 1e-10:
-            raise InvariantError(f"Wigner table sums to {vals.sum()!r}, expected 1")
+        total = float(vals.sum())
+        qk._require_close(total, 1.0, qk.ATOL, f"Wigner table sums to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,8 @@ def wigner_function(rho: DensityOperator | StateVector, d: int) -> WignerTable:
     ops = phase_point_operators(d)
     vals = np.array([np.trace(a @ rho.matrix).real for a in ops]).reshape(d, d) / d
     table = WignerTable(d, vals)
-    purity = rho.purity()
-    if abs(d * (vals ** 2).sum() - purity) > 1e-9:
-        raise InvariantError("Wigner purity identity d * sum W^2 = tr rho^2 violated")
+    qk._require_close(d * (vals ** 2).sum(), rho.purity(), 1e-9,
+                      "Wigner purity identity d * sum W^2 = tr rho^2 violated")
     return table
 
 
