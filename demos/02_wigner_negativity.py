@@ -26,7 +26,7 @@ print(np.round(table0.values, 4))
 # All d(d+1) stabilizer states are nonnegative, hence mana 0.
 stab = wg.stabilizer_states(d)
 print(f"\n{len(stab.states)} qutrit stabilizer states, "
-      f"max mana = {max(wg.mana(s, d) for s in stab.states):.2e}")
+      f"max mana = {max(wg.mana(wg.wigner_function(s, d)) for s in stab.states):.2e}")
 
 # The "most magic" direction: strange states show up under random search.
 rng = np.random.default_rng(1)

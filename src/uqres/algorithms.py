@@ -59,8 +59,8 @@ def sandwiched_interference(v: np.ndarray, cu: Multiplexer, w: np.ndarray) -> fl
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
     d1, d2 = cu.control_dim, cu.target_dim
-    if v.shape != (d1, d1) or w.shape != (d1, d1):
-        raise InvariantError("V and W must act on the control factor")
+    for m in (v, w):
+        qk._require_unitary(m, d1, "V and W must be unitaries on the control factor")
     us = np.stack(cu.branches)                      # (i, mu, nu)
     total = 0.0
     for b in range(d1):

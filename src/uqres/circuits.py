@@ -22,7 +22,6 @@ and verified by :func:`is_deterministic`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +78,12 @@ class Measure:
     basis: str | np.ndarray = "Z"
     out: str = "m"
 
+    def __post_init__(self):
+        if not isinstance(self.basis, str):
+            b = np.asarray(self.basis, dtype=complex)
+            object.__setattr__(self, "basis", b)
+            qk._require_unitary(b, None, "custom measurement basis is not a square unitary")
+
 
 @dataclass(frozen=True)
 class Cond:
@@ -108,22 +113,16 @@ class Circuit:
         ins = tuple(self.instructions)
         object.__setattr__(self, "instructions", ins)
         dims = self.wires.dims
-        n = len(dims)
         measured: dict[int, str] = {}
         discarded: set[int] = set()
         names: set[str] = set()
 
         def place(ws, d_op, what):
-            """Wires in range, still active and distinct; operator dimension d_op fits them."""
+            """The shared placement rule, on wires not yet measured (a discarded wire was)."""
+            qk._require_placement(ws, d_op, dims, what)
             for w in ws:
-                if not (0 <= w < n):
-                    raise InvariantError(f"{what} wire {w} out of range")
-                if w in measured or w in discarded:
+                if w in measured:
                     raise InvariantError(f"{what} acts on wire {w} after measurement/discard")
-            if len(set(ws)) != len(ws):
-                raise InvariantError(f"{what} wires {ws} repeat a wire")
-            if d_op is not None and d_op != math.prod(dims[w] for w in ws):
-                raise InvariantError(f"{what} dimension {d_op} does not match wires {ws}")
 
         for ins_ in ins:
             if isinstance(ins_, Gate):
@@ -136,12 +135,12 @@ class Circuit:
                         f"mux branch count {mux.control_dim} != control dimension "
                         f"{dims[ins_.control]}")
             elif isinstance(ins_, Measure):
-                place((ins_.wire,), None, "measure")
-                if isinstance(ins_.basis, str):
-                    if ins_.basis not in ("Z", "X", "Y"):
-                        raise InvariantError(f"unknown basis {ins_.basis!r}")
-                    if ins_.basis in ("X", "Y") and dims[ins_.wire] != 2:
-                        raise InvariantError("X/Y bases are qubit-only; pass a custom matrix")
+                named = isinstance(ins_.basis, str)
+                if named and ins_.basis not in ("Z", "X", "Y"):
+                    raise InvariantError(f"unknown basis {ins_.basis!r}")
+                # Z fits any wire, X and Y are qubit bases, a custom basis has its own size.
+                d_basis = (None if ins_.basis == "Z" else 2) if named else ins_.basis.shape[0]
+                place((ins_.wire,), d_basis, "measure")
                 if ins_.out in names:
                     raise InvariantError(f"duplicate outcome name {ins_.out!r}")
                 names.add(ins_.out)
@@ -180,9 +179,7 @@ def _basis_matrix(basis, d: int) -> np.ndarray:
         if basis == "Y":
             return np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
         raise InvariantError(f"unknown basis {basis!r}")
-    b = np.asarray(basis, dtype=complex)
-    qk._require_unitary(b, d, "custom measurement basis must be a unitary of the wire dimension")
-    return b
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -110,12 +110,16 @@ def _emit(args, doc: dict) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_measure(args) -> int:
+def _load_state(args) -> qk.StateVector | qk.DensityOperator:
+    """The input state; a pure one stays a StateVector, so its closed forms apply."""
     doc = _load_json(_one_input(args))
-    # A pure state stays a StateVector, so the measures take their closed forms.
-    rho = (vector_from_json(doc, cap=args.cap)
-           if isinstance(doc, dict) and "amplitudes" in doc
-           else density_from_json(doc, cap=args.cap))
+    if isinstance(doc, dict) and "amplitudes" in doc:
+        return vector_from_json(doc, cap=args.cap)
+    return density_from_json(doc, cap=args.cap)
+
+
+def cmd_measure(args) -> int:
+    rho = _load_state(args)
     wanted = [m.strip() for m in args.measures.split(",") if m.strip()]
     evaluators = {
         "l1": lambda: ms.l1_coherence(rho),
@@ -152,13 +156,13 @@ def cmd_interference(args) -> int:
 
 
 def cmd_wigner(args) -> int:
-    rho = density_from_json(_load_json(_one_input(args)), cap=args.cap)
+    rho = _load_state(args)
     d = rho.spec.total_dim
     table = wg.wigner_function(rho, d)
     results = {"d": d,
                "table": [[float(v) for v in row] for row in table.values],
                "sum_negativity": wg.sum_negativity(table),
-               "mana": wg.mana(rho, d)}
+               "mana": wg.mana(table)}
     _emit(args, _report(args, results))
     return EXIT_OK
 
@@ -376,7 +380,7 @@ def cmd_make_goldens(args) -> int:
         }
 
     stab = wg.stabilizer_states(3)
-    mana_table = [wg.mana(s, 3) for s in stab.states]
+    mana_table = [wg.mana(wg.wigner_function(s, 3)) for s in stab.states]
 
     hw = ham.walk_hamiltonian(3)
     scan = ham.adiabatic_gap_scan(qk.Z / np.sqrt(2), qk.X / np.sqrt(2), 101)

@@ -54,13 +54,8 @@ class TermSum:
     def __post_init__(self):
         terms = tuple(self.terms)
         object.__setattr__(self, "terms", terms)
-        n = self.spec.n_subsystems
         for t in terms:
-            if any(s < 0 or s >= n for s in t.support):
-                raise InvariantError(f"term support {t.support} out of range")
-            d_sub = int(np.prod([self.spec.dims[s] for s in t.support]))
-            if t.matrix.shape != (d_sub, d_sub):
-                raise InvariantError("term dimension does not match its support")
+            qk._require_placement(t.support, t.matrix.shape[0], self.spec.dims, "term")
 
 
 def assemble(terms: TermSum) -> np.ndarray:

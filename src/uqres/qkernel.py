@@ -106,6 +106,17 @@ def _require_unitary(m: np.ndarray, d: int | None, message: str) -> None:
     _require_close(m.conj().T @ m, np.eye(d), ATOL, message)
 
 
+def _require_placement(wires, d_op: int | None, dims, what: str) -> None:
+    """Raise :class:`InvariantError` unless ``wires`` are distinct, in range and fit ``d_op``."""
+    for w in wires:
+        if not 0 <= w < len(dims):
+            raise InvariantError(f"{what} wire {w} out of range")
+    if len(set(wires)) != len(wires):
+        raise InvariantError(f"{what} wires {wires} repeat a wire")
+    if d_op is not None and d_op != math.prod(dims[w] for w in wires):
+        raise InvariantError(f"{what} dimension {d_op} does not match wires {wires}")
+
+
 def _as_complex_array(data, shape_hint: str) -> np.ndarray:
     arr = np.asarray(data, dtype=complex)
     if arr.size == 0:
@@ -263,7 +274,8 @@ class DensityOperator:
         return _clamp_spectrum(self._spectrum)
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """tr rho^2 = sum |rho_ij|^2 (rho is Hermitian): O(d^2), no product formed."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -371,20 +383,6 @@ def gate(name: str) -> UnitaryOp:
 
 
 # Qudit generalizations -----------------------------------------------------
-
-def shift_x(d: int) -> np.ndarray:
-    """Generalized Pauli X: |j> -> |j+1 mod d>."""
-    m = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        m[(j + 1) % d, j] = 1
-    return m
-
-
-def clock_z(d: int) -> np.ndarray:
-    """Generalized Pauli Z: |j> -> w^j |j>, w = e^{2 pi i / d}."""
-    w = np.exp(2j * np.pi / d)
-    return np.diag(w ** np.arange(d))
-
 
 def generalized_cx(d: int) -> np.ndarray:
     """Qudit CX: |i, j> -> |i, i+j mod d>."""

@@ -1,13 +1,15 @@
 """Discrete Wigner functions for a single odd-prime-dimension qudit.
 
-Phase-point construction (fixed so tables are bit-for-bit reproducible):
-Weyl displacement operators T_(q,p) = w^{2^{-1} q p} X^q Z^p with w = e^{2 pi i/d}
-and 2^{-1} the inverse of 2 mod d; A_0 = (1/d) sum_u T_u (the parity operator);
-A_u = T_u A_0 T_u†.  Then W_rho(q, p) = (1/d) tr(A_(q,p) rho).
+The phase-point operators A_(q,p)|y> = w^{2p(q-y)} |2q - y>, w = e^{2 pi i/d}
+(Wootters 1987; Gross, J. Math. Phys. 47, 122107, 2006) give the closed form
+W(q, p) = (1/d) tr(A_(q,p) rho) = (1/d) sum_x w^{-2px} rho_{q+x, q-x}: one index
+gather (psi_{q+x} psi*_{q-x} for a pure state, with no density matrix) and one
+FFT along x.  That is O(d^2 log d) time and O(d^2) memory per table.
 
 Sum negativity is the total weight of negative Wigner entries and mana is
-log2(2N + 1), additive on the (single-qudit) free set of stabilizer states,
-all of which have nonnegative Wigner functions.
+log2(2N + 1) (Veitch, Mousavian, Gottesman and Emerson, NJP 16, 013009, 2014),
+additive on the (single-qudit) free set of stabilizer states, all of which
+have nonnegative Wigner functions.
 
 Qubit magic has no Wigner-based monotone here (even dimensions are rejected);
 :func:`qubit_magic_coherence_proxy` reports the l1 coherence of the state as
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,48 +69,52 @@ class StabilizerStateSet:
         if self.n != 1:
             raise InvariantError("only single-qudit stabilizer sets are supported")
         _require_odd_prime(self.d)
-        for s in self.states:
-            table = wigner_function(s.density(), self.d)
-            if table.values.min() < -1e-10:
+        if any(s.spec.dims != (self.d,) for s in self.states):
+            raise InvariantError(f"stabilizer states must be single dim-{self.d} qudits")
+        psi = np.array([s.amplitudes for s in self.states]).reshape(-1, self.d)
+        for i in range(0, len(psi), self.d):    # d tables per FFT: d^3 entries, not d^4
+            if _pure_values(psi[i:i + self.d]).min() < -1e-10:
                 raise InvariantError("stabilizer state with negative Wigner entry")
 
 
+def _fold(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices ((q + x) mod d, (q - x) mod d) over the (q, x) grid."""
+    k = np.arange(d)
+    return (k[:, None] + k) % d, (k[:, None] - k) % d
+
+
+def _fft_values(g: np.ndarray) -> np.ndarray:
+    """W(q, p) = (1/d) sum_x w^{-2px} g[..., q, x]: one FFT along x, read at column 2p."""
+    d = g.shape[-1]
+    return np.fft.fft(g)[..., (2 * np.arange(d)) % d].real / d
+
+
+def _pure_values(psi: np.ndarray) -> np.ndarray:
+    """Wigner values of the pure states on the last axis of ``psi``."""
+    plus, minus = _fold(psi.shape[-1])
+    return _fft_values(psi[..., plus] * psi[..., minus].conj())
+
+
 def weyl_operator(d: int, q: int, p: int) -> np.ndarray:
-    """Displacement T_(q,p) = w^{2^{-1} q p} X^q Z^p."""
+    """Displacement T_(q,p) = w^{2^{-1} q p} X^q Z^p: |y> -> w^{2^{-1} q p + p y} |y + q>."""
     _require_odd_prime(d)
-    w = np.exp(2j * np.pi / d)
-    half = pow(2, -1, d)
-    xq = np.linalg.matrix_power(qk.shift_x(d), q % d)
-    zp = np.linalg.matrix_power(qk.clock_z(d), p % d)
-    return w ** ((half * q * p) % d) * (xq @ zp)
-
-
-@lru_cache(maxsize=None)
-def phase_point_operators(d: int) -> tuple[np.ndarray, ...]:
-    """All d^2 phase-point operators A_(q,p), indexed row-major by (q, p)."""
-    _require_odd_prime(d)
-    a0 = sum(weyl_operator(d, q, p) for q in range(d) for p in range(d)) / d
-    ops = []
-    for q in range(d):
-        for p in range(d):
-            t = weyl_operator(d, q, p)
-            a = t @ a0 @ t.conj().T
-            a.setflags(write=False)
-            ops.append(a)
-    return tuple(ops)
+    y = np.arange(d)
+    t = np.zeros((d, d), dtype=complex)
+    t[(y + q) % d, y] = np.exp(2j * np.pi * ((pow(2, -1, d) * q * p + p * y) % d) / d)
+    return t
 
 
 def wigner_function(rho: DensityOperator | StateVector, d: int) -> WignerTable:
-    """W(q, p) = (1/d) tr(A_(q,p) rho) for a single qudit of odd prime dimension d."""
-    if isinstance(rho, StateVector):
-        rho = rho.density()
+    """W(q, p) = (1/d) sum_x w^{-2 p x} rho_{q+x, q-x} for one qudit of odd prime dimension d."""
     _require_odd_prime(d)
     if rho.spec.dims != (d,):
         raise InvariantError(f"state dims {rho.spec.dims} are not a single dim-{d} qudit")
-    ops = phase_point_operators(d)
-    vals = np.array([np.trace(a @ rho.matrix).real for a in ops]).reshape(d, d) / d
+    if isinstance(rho, StateVector):
+        vals, purity = _pure_values(rho.amplitudes), 1.0
+    else:
+        vals, purity = _fft_values(rho.matrix[_fold(d)]), rho.purity()
     table = WignerTable(d, vals)
-    qk._require_close(d * (vals ** 2).sum(), rho.purity(), 1e-9,
+    qk._require_close(d * (vals ** 2).sum(), purity, 1e-9,
                       "Wigner purity identity d * sum W^2 = tr rho^2 violated")
     return table
 
@@ -120,12 +125,11 @@ def sum_negativity(table: WignerTable) -> float:
     return float(-vals[vals < 0].sum())
 
 
-def mana(rho: DensityOperator | StateVector, d: int) -> float:
-    """M(rho) = log2(2 N(rho) + 1)."""
-    return float(np.log2(2.0 * sum_negativity(wigner_function(rho, d)) + 1.0))
+def mana(table: WignerTable) -> float:
+    """M = log2(2 N + 1) of the table's sum negativity N."""
+    return float(np.log2(2.0 * sum_negativity(table) + 1.0))
 
 
-@lru_cache(maxsize=None)
 def stabilizer_states(d: int) -> StabilizerStateSet:
     """The d(d+1) single-qudit stabilizer states: eigenbases of the d+1 Weyl classes.
 

@@ -86,7 +86,7 @@ def test_criterion_05_wigner_mana():
     stab = wg.stabilizer_states(3)
     assert len(stab.states) == 12
     for s in stab.states:
-        assert abs(wg.mana(s, 3)) < 1e-12
+        assert abs(wg.mana(wg.wigner_function(s, 3))) < 1e-12
     rng = np.random.default_rng(50)
     for _ in range(200):
         psi = qk.random_state((3,), rng)

@@ -44,6 +44,14 @@ def test_sandwich_matches_dual_state_route():
         assert direct == pytest.approx(itf.interference_power(assembled), abs=1e-9)
 
 
+def test_sandwich_rejects_non_unitary_sides():
+    cu = Multiplexer((np.eye(2), qk.X))
+    for v, w in ((np.diag([2.0, 1.0]), np.eye(2)), (np.eye(2), np.diag([2.0, 1.0])),
+                 (np.eye(3), np.eye(3))):
+        with pytest.raises(InvariantError):
+            alg.sandwiched_interference(v, cu, w)
+
+
 def test_rotation_v_coherences():
     for eps in (1e-3, 1e-2, 0.1):
         v = alg.rotation_v(eps)

@@ -256,6 +256,23 @@ def test_circuit_validation_errors():
         Circuit(spec, (Measure(0, "Z", "m"), Gate(qk.H, (0,))))  # reuse after measure
 
 
+def test_measurement_basis_is_checked_when_built(tmp_path):
+    from uqres import cli
+
+    for basis in ("X", "Y", qk.H):                             # qubit bases on a qutrit
+        with pytest.raises(InvariantError):
+            Circuit(HilbertSpec((3,)), (Measure(0, basis, "m"),))
+    with pytest.raises(InvariantError):
+        Measure(0, np.diag([2.0, 1.0]), "m")                   # not unitary
+    eye3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    doc = {"wires": [2], "ops": [{"type": "measure", "wire": 0, "out": "m", "basis": eye3}]}
+    with pytest.raises(InvariantError):
+        qc.circuit_from_json(doc)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["circuit", "--in", str(path)]) == cli.EXIT_INVARIANT
+
+
 def test_branch_cap():
     ins = tuple(Measure(w, "Z", f"m{w}") for w in range(5))
     circ = Circuit(HilbertSpec((2,) * 5), ins)

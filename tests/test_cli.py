@@ -96,6 +96,22 @@ def test_wigner_subcommand(tmp_path, capsys):
     assert doc["results"]["mana"] >= 0
 
 
+def test_wigner_subcommand_builds_one_table_from_the_pure_state(tmp_path, capsys, monkeypatch):
+    from uqres import wigner as wg
+
+    state = tmp_path / "qutrit.json"
+    r = 3 ** -0.5
+    write_json(state, {"dims": [3], "amplitudes": [[r, 0.0], [0.0, r], [-r, 0.0]]})
+    inputs = []
+    real = wg.wigner_function
+    monkeypatch.setattr(wg, "wigner_function",
+                        lambda rho, d: inputs.append(type(rho)) or real(rho, d))
+    assert run(["wigner", "--in", str(state)]) == 0
+    assert inputs == [qk.StateVector]
+    doc = json.loads(capsys.readouterr().out)["results"]
+    assert doc["mana"] == pytest.approx(np.log2(2 * doc["sum_negativity"] + 1), abs=1e-15)
+
+
 def test_circuit_subcommand(tmp_path, capsys):
     circ = tmp_path / "bell.json"
     write_json(circ, {"wires": [2, 2], "ops": [

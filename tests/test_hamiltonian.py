@@ -65,6 +65,8 @@ def test_term_validation():
     with pytest.raises(InvariantError):
         HamiltonianTerm((0,), np.array([[0, 1], [0, 0]]))
     with pytest.raises(InvariantError):
+        HamiltonianTerm((1, 1), np.kron(qk.Z, qk.Z))      # repeated site, no spec needed
+    with pytest.raises(InvariantError):
         TermSum(spec, (HamiltonianTerm((5,), qk.Z),))
     with pytest.raises(InvariantError):
         TermSum(spec, (HamiltonianTerm((0,), np.kron(qk.Z, qk.Z)),))

@@ -110,6 +110,7 @@ BAD_PLACEMENTS = {
     "mux branch count": (Mux(0, (qk.I2, qk.X, qk.Z), (1,)),),
     "measure out of range": (Measure(3, "Z", "m"),),
     "measure twice": MEASURED + (Measure(0, "Z", "n"),),
+    "measure basis wrong dimension": (Measure(0, np.eye(3), "m"),),
     "cond gate on one wire": MEASURED + (Cond({"m": 0}, Gate(qk.CX, (1,))),),
     "cond gate repeated wire": MEASURED + (Cond({"m": 0}, Gate(qk.CX, (1, 1))),),
     "cond gate on measured wire": MEASURED + (Cond({"m": 0}, Gate(qk.X, (0,))),),

@@ -1,20 +1,31 @@
-"""No source module compares numbers with numpy's relative-tolerance helpers.
+"""Source scans of ``src/uqres`` for two patterns the toolkit keeps out.
 
 ``np.allclose`` and ``np.isclose`` add a relative slack (1e-5 by default) on
 top of the absolute one.  The toolkit's tolerances are absolute, and every
 closeness check goes through ``qkernel._require_close``.
+
+``functools.lru_cache`` (and ``cache``) keep every result for the life of the
+process.  The discrete Wigner function once cached d^4 entries of phase-point
+operators that way; every table now comes from a closed form, so no module
+needs a process-wide cache.
 """
 
 import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uqres"
-PATTERN = re.compile(r"\b(allclose|isclose)\(")
+
+
+def source_hits(pattern: re.Pattern) -> list[str]:
+    return [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
 
 
 def test_src_has_no_allclose_or_isclose():
-    hits = [f"{path.name}:{n}: {line.strip()}"
-            for path in sorted(SRC.glob("*.py"))
-            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-            if PATTERN.search(line)]
-    assert hits == []
+    assert source_hits(re.compile(r"\b(allclose|isclose)\(")) == []
+
+
+def test_src_has_no_process_wide_cache():
+    assert source_hits(re.compile(r"\blru_cache\b|\bfunctools\.cache\b|@cache\b")) == []

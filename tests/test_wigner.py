@@ -6,6 +6,8 @@ from uqres import qkernel as qk
 from uqres import wigner as wg
 from uqres.qkernel import HilbertSpec, InvariantError
 
+import wigner_oracle
+
 
 def test_odd_prime_check():
     assert wg.is_odd_prime(3) and wg.is_odd_prime(5) and wg.is_odd_prime(7)
@@ -17,7 +19,7 @@ def test_odd_prime_check():
 
 def test_phase_point_operators_structure():
     for d in (3, 5):
-        ops = wg.phase_point_operators(d)
+        ops = wigner_oracle.phase_point_operators(d)
         assert len(ops) == d * d
         for a in ops:
             assert np.abs(a - a.conj().T).max() < 1e-12       # Hermitian
@@ -27,6 +29,36 @@ def test_phase_point_operators_structure():
         for j in range(d):
             parity[(-j) % d, j] = 1
         assert np.abs(ops[0] - parity).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 13, 31])
+def test_closed_form_matches_phase_point_oracle(d):
+    rng = np.random.default_rng(d)
+    rho = qk.random_density(d, rng)
+    psi = qk.random_state((d,), rng)
+    assert np.abs(wg.wigner_function(rho, d).values
+                  - wigner_oracle.wigner_values(rho.matrix)).max() <= 1e-14
+    assert np.abs(wg.wigner_function(psi, d).values
+                  - wigner_oracle.wigner_values(psi.density().matrix)).max() <= 1e-14
+
+
+def test_weyl_operator_matches_matrix_power_oracle():
+    d = 5
+    for q in range(d):
+        for p in range(d):
+            assert np.abs(wg.weyl_operator(d, q, p)
+                          - wigner_oracle.weyl_operator(d, q, p)).max() <= 1e-14
+
+
+def test_pure_state_table_builds_no_density_matrix(monkeypatch):
+    psi = qk.random_state((7,), np.random.default_rng(6))
+    expected = wg.wigner_function(psi.density(), 7).values
+
+    def refuse(self):
+        raise AssertionError("pure-state Wigner route built a density matrix")
+
+    monkeypatch.setattr(qk.StateVector, "density", refuse)
+    assert np.abs(wg.wigner_function(psi, 7).values - expected).max() <= 1e-14
 
 
 def test_maximally_mixed_table_is_flat():
@@ -75,7 +107,7 @@ def test_covariance_under_displacements():
 
 def test_sum_negativity_and_mana():
     assert wg.sum_negativity(wg.wigner_function(qk.maximally_mixed(3), 3)) == 0.0
-    assert wg.mana(qk.maximally_mixed(3), 3) == pytest.approx(0.0, abs=1e-12)
+    assert wg.mana(wg.wigner_function(qk.maximally_mixed(3), 3)) == pytest.approx(0.0, abs=1e-12)
     # Random search finds negativity somewhere (brute-force oracle).
     rng = np.random.default_rng(3)
     best = 0.0
@@ -89,7 +121,7 @@ def test_stabilizer_states_count_and_mana():
     sts = wg.stabilizer_states(3)
     assert len(sts.states) == 12
     for s in sts.states:
-        assert wg.mana(s, 3) == pytest.approx(0.0, abs=1e-12)
+        assert wg.mana(wg.wigner_function(s, 3)) == pytest.approx(0.0, abs=1e-12)
     sts5 = wg.stabilizer_states(5)
     assert len(sts5.states) == 30
 
@@ -115,10 +147,10 @@ def test_stabilizer_states_are_weyl_eigenvectors():
     # computational basis: eigenvectors of Z; quadratic bases: of X Z^{2a}.
     for k, s in enumerate(sts.states):
         if k < d:
-            op = qk.clock_z(d)
+            op = wigner_oracle.clock_z(d)
         else:
             a = (k - d) // d
-            op = qk.shift_x(d) @ np.linalg.matrix_power(qk.clock_z(d), (2 * a) % d)
+            op = wigner_oracle.shift_x(d) @ np.linalg.matrix_power(wigner_oracle.clock_z(d), (2 * a) % d)
         v = s.amplitudes
         w = op @ v
         assert abs(abs(np.vdot(v, w)) - 1.0) < 1e-10  # eigenvector up to phase
@@ -137,7 +169,7 @@ def _random_qutrit_clifford(rng):
     f = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
     w = np.exp(2j * np.pi / 3)
     s3 = np.diag([1, w, w])  # phase gate: j -> j(j+1)/2 pattern for d = 3
-    gens = [f, s3, qk.shift_x(3), qk.clock_z(3)]
+    gens = [f, s3, wigner_oracle.shift_x(3), wigner_oracle.clock_z(3)]
     u = np.eye(3, dtype=complex)
     for _ in range(int(rng.integers(1, 6))):
         u = gens[rng.integers(len(gens))] @ u
@@ -146,7 +178,7 @@ def _random_qutrit_clifford(rng):
 
 def _is_clifford(u, d=3):
     """Conjugation maps Weyl generators to Weyl operators up to phase."""
-    for g in (qk.shift_x(d), qk.clock_z(d)):
+    for g in (wigner_oracle.shift_x(d), wigner_oracle.clock_z(d)):
         m = u @ g @ u.conj().T
         hit = False
         for q in range(d):
@@ -167,9 +199,10 @@ def test_mana_invariant_under_clifford_conjugation():
     assert len(cliffords) >= 10  # generators are genuinely Clifford
     for _ in range(20):
         rho = qk.random_density(3, rng)
-        m0 = wg.mana(rho, 3)
+        m0 = wg.mana(wg.wigner_function(rho, 3))
         for u in cliffords[:5]:
-            assert wg.mana(qk.apply_unitary(rho, u), 3) == pytest.approx(m0, abs=1e-9)
+            moved = wg.wigner_function(qk.apply_unitary(rho, u), 3)
+            assert wg.mana(moved) == pytest.approx(m0, abs=1e-9)
 
 
 def test_qubit_magic_proxy():
