@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qkernel as qk
+from .interference import Multiplexer
 from .qkernel import HilbertSpec, InvariantError, StateVector, UnitaryOp
 
 
@@ -159,15 +160,9 @@ def hqca_local_term() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     H = |0><1| x U + |1><0| x U†; H squares to the identity, so the quench
     e^{i pi/2 H} equals i H exactly.
     """
-    hz = qk.H @ qk.Z
-    w = np.zeros((4, 4), dtype=complex)
-    w[:2, :2] = np.eye(2)
-    w[2:, 2:] = hz
+    w = Multiplexer((qk.I2, qk.H @ qk.Z)).matrix
     pi_swap = qk.SWAP.copy()
-    u = np.zeros((12, 12), dtype=complex)
-    u[0:4, 0:4] = np.eye(4)
-    u[4:8, 4:8] = w
-    u[8:12, 8:12] = pi_swap
+    u = Multiplexer((np.eye(4, dtype=complex), w, pi_swap)).matrix
     h = np.zeros((24, 24), dtype=complex)
     h[0:12, 12:24] = u
     h[12:24, 0:12] = u.conj().T

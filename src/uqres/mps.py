@@ -101,11 +101,10 @@ def line_graph(n: int, tails: bool = False) -> GraphSpec:
 # ---------------------------------------------------------------------------
 
 def make_ebit(d: int = 2) -> StateVector:
-    """|omega> = CX |+>|0> = d^{-1/2} sum_i |ii>, built literally from the gate."""
+    """|omega> = CX |+>|0> = d^{-1/2} sum_i |ii>."""
     if d < 2:
         raise InvariantError("ebit needs local dimension >= 2")
-    plus_zero = qk.tensor(qk.plus_state(d), qk.basis_state(HilbertSpec((d,)), 0))
-    return qk.apply_unitary(plus_zero, qk.generalized_cx(d))
+    return StateVector(HilbertSpec((d, d)), qk._max_entangled(d))
 
 
 def vbs_state(operators, ebits: int, d: int = 2) -> StateVector:
@@ -216,13 +215,6 @@ def left_canonicalize(chain: MPSChain) -> MPSChain:
     return MPSChain(tuple(new_tensors), new_boundary)
 
 
-def _max_entangled_pair(d: int) -> np.ndarray:
-    """d^{-1/2} sum_i |ii> amplitudes; degenerate d = 1 allowed for trivial bonds."""
-    amps = np.zeros(d * d, dtype=complex)
-    amps[:: d + 1] = 1.0 / math.sqrt(d)
-    return amps
-
-
 def sequential_prepare_detailed(chain: MPSChain,
                                 cap: int = qk.DEFAULT_DIM_CAP) -> tuple[StateVector, float]:
     """Prepare the chain's state by a sequential circuit; returns (state, success prob).
@@ -238,7 +230,7 @@ def sequential_prepare_detailed(chain: MPSChain,
     spec = HilbertSpec(canon.phys_dims, cap=cap)
 
     reg_dims = [d_bond, d_bond]            # (ref, bond)
-    amps = _max_entangled_pair(d_bond)
+    amps = qk._max_entangled(d_bond)
     for t in canon.tensors:
         d_site = t.shape[0]
         # v[(b', i), b] = A^i[b', b], rows row-major over (bond', site).

@@ -22,6 +22,11 @@ register from the root; the leaves and their bits are the same either way.
 Only the first protocol of a run that asks to resume is resumed or
 checkpointed, and a run with ``on_step`` replays from the root.  ``btt`` and
 ``mbqc_gate`` replay from the root as well.
+
+One nonlocal T gadget (a T gate made nonlocal by one ebit and one PR box,
+``_t_link``) serves both: PMQC spends one per T gate, and ``btt`` is the
+gadget alone.  Every ebit is the read-only |omega> of ``qkernel``, appended
+unchecked; the register checks only amplitudes that callers pass in.
 """
 
 from __future__ import annotations
@@ -276,8 +281,19 @@ def angle_basis(theta: float) -> np.ndarray:
 
 
 _BASES = {"Z": np.eye(2, dtype=complex), "X": qk.H}
-_BELL = np.array([1, 0, 0, 1], dtype=complex)   # (|00> + |11>) / sqrt(2) once normalised
-LIVE_CAP = 12                                    # most qubits a Register holds at once
+_EBIT = qk._max_entangled(2)   # (|00> + |11>) / sqrt(2), read-only, shared by every ebit
+LIVE_CAP = 12                  # most qubits a Register holds at once
+
+
+def _normalised(amplitudes, n: int) -> np.ndarray:
+    """Caller amplitudes for ``n`` fresh qubits: 2^n of them, finite norm > 0; normalised."""
+    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if amps.size != 2 ** n:
+        raise InvariantError("amplitude length does not match qubit count")
+    norm = np.linalg.norm(amps)
+    if not 0 < norm < np.inf:
+        raise InvariantError(f"amplitudes have norm {norm!r}")
+    return amps / norm
 
 
 class Register:
@@ -302,39 +318,33 @@ class Register:
         except ValueError:
             raise InvariantError(f"no live qubit named {name!r}") from None
 
-    def _grow(self, names, owners, amplitudes) -> None:
-        """Append fresh qubits in the joint state ``amplitudes``, normalised here.
+    def _grow(self, names, owners, amps: np.ndarray) -> None:
+        """Append fresh qubits in the joint state ``amps``, trusted as normalised.
 
-        Every check runs before the register changes, so a rejected call
-        leaves it as it was.
+        The name and cap checks run before the register changes, so a
+        rejected call leaves it as it was.
         """
         names = list(names)
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if len(set(names)) != len(names) or any(n in self.names for n in names):
             raise InvariantError(f"qubit names {names} are not fresh and distinct")
-        if amps.size != 2 ** len(names):
-            raise InvariantError("amplitude length does not match qubit count")
-        norm = np.linalg.norm(amps)
-        if not 0 < norm < np.inf:
-            raise InvariantError(f"amplitudes have norm {norm!r}")
         live = len(self.names) + len(names)
         if live > LIVE_CAP:
             raise qk.CapExceededError(
                 f"live register of {live} qubits exceeds cap {LIVE_CAP}")
-        self.vec = np.multiply.outer(self.vec, amps / norm).reshape(-1)
+        self.vec = np.multiply.outer(self.vec, amps).reshape(-1)
         self.names += names
         self.owners.update(zip(names, owners))
         self.max_live = max(self.max_live, live)
 
     def add_qubit(self, name: str, owner: str, amplitudes) -> None:
-        self._grow([name], [owner], amplitudes)
+        self._grow([name], [owner], _normalised(amplitudes, 1))
 
     def add_state(self, names, owner: str, amplitudes) -> None:
         """Kron in a joint pure state on fresh qubits (first name most significant)."""
-        self._grow(names, [owner] * len(names), amplitudes)
+        self._grow(names, [owner] * len(names), _normalised(amplitudes, len(names)))
 
     def add_ebit(self, name_a: str, name_b: str, owner_a: str = "A", owner_b: str = "B"):
-        self._grow([name_a, name_b], [owner_a, owner_b], _BELL)
+        self._grow([name_a, name_b], [owner_a, owner_b], _EBIT)
 
     def apply(self, u: np.ndarray, names, party: str | None = None,
               transcript: Transcript | None = None, op: str = ""):
@@ -354,7 +364,7 @@ class Register:
             raise InvariantError(f"party {party} cannot measure {name!r}")
         b = _BASES[basis] if isinstance(basis, str) else np.asarray(basis, dtype=complex)
         subs = qk._measure_split(self.vec, b, w, (2,) * len(self.names))
-        probs = [float((np.abs(s) ** 2).sum()) for s in subs]
+        probs = (np.abs(subs) ** 2).sum(axis=1)
         k = source.draw(label, probs)
         self.vec = subs[k] / math.sqrt(probs[k])
         self.names.pop(w)
@@ -383,20 +393,47 @@ class Register:
 
 
 # ---------------------------------------------------------------------------
-# Diagonal helpers for the split-phase gadget
+# The nonlocal T gadget: one ebit and one PR box
 # ---------------------------------------------------------------------------
 
-def _s_power(k: int) -> np.ndarray:
-    return np.diag([1, 1j ** (k % 4)]).astype(complex)
+@dataclass(frozen=True)
+class _Share:
+    """A frame bit split into an A-known part and a B-known part."""
+    a: int = 0
+    b: int = 0
+
+    @property
+    def value(self) -> int:
+        return self.a ^ self.b
 
 
-def _z_power(k: int) -> np.ndarray:
-    return np.diag([1, (-1) ** (k % 2)]).astype(complex)
+def _s_z(s: int, z: int) -> tuple[np.ndarray, str]:
+    """S^s Z^z for bits s and z, with its transcript text (S is named only at power 1)."""
+    u = np.diag([1, 1j ** s]).astype(complex) @ np.diag([1, (-1) ** z]).astype(complex)
+    return u, f"S^1 Z^{z}" if s else f"Z^{z}"
 
 
-# ---------------------------------------------------------------------------
-# Nonlocal T-gate teleportation through one ebit and one PR box
-# ---------------------------------------------------------------------------
+def _t_link(reg: Register, tr: Transcript, source: OutcomeSource, cur: str,
+            ebit: tuple[str, str], x: _Share, box: PRBox,
+            labels: tuple[str, str]) -> tuple[int, int]:
+    """The nonlocal T gadget after the T imprint on A's qubit ``cur``; returns (c, m).
+
+    A links ``cur`` onto her ebit half and Z-measures it (c, draw ``labels[0]``).
+    The PR box on (c xor x.a, x.b) splits the S byproduct's cross term into z_A
+    and z_B, so A applies S^{x.a} Z^{z_A} to ``cur`` and B S^{x.b} Z^{z_B} to
+    the other half, each from local data; B's X outcome m (``labels[1]``)
+    disentangles that half.
+    """
+    half_a, half_b = ebit
+    reg.apply(qk.CX, [cur, half_a], party="A", transcript=tr, op="CX")
+    c = reg.measure(half_a, "Z", source, labels[0], party="A", transcript=tr)
+    z_a, z_b = pr_box_call(box, c ^ x.a, x.b, source=source, transcript=tr)
+    for party, qubit, s_bit, z_bit in (("A", cur, x.a, z_a), ("B", half_b, x.b, z_b)):
+        u, text = _s_z(s_bit, z_bit)
+        reg.apply(u, [qubit], party=party, transcript=tr, op=text)
+    m = reg.measure(half_b, "X", source, labels[1], party="B", transcript=tr)
+    return c, m
+
 
 @dataclass(frozen=True)
 class BTTResult:
@@ -412,10 +449,11 @@ def btt(psi: StateVector, key: PauliKey, source: OutcomeSource,
     """Apply T to a one-time-padded qubit using one ebit and one PR box.
 
     A starts with X^a Z^b |psi> and ends with X^{a'} Z^{b'} T |psi>; B computes
-    the new key from local data alone.  No directed message is ever sent: the
-    phase correction that normally needs measurement feedback is split through
-    the box, with A applying S^0 Z^{z_A} (her key share is trivial here) and B
-    applying S^a Z^{z_B} on her ebit half.
+    the new key from local data alone.  No directed message is ever sent.  The
+    run is the nonlocal T gadget that PMQC spends per T gate (``_t_link``)
+    with A's frame share 0 and B's share ``a``: the phase correction that
+    normally needs measurement feedback is split through the box, A applying
+    Z^{z_A} and B applying S^a Z^{z_B} on the other ebit half.
     """
     if psi.spec.dims != (2,):
         raise InvariantError("btt teleports a single qubit")
@@ -430,16 +468,8 @@ def btt(psi: StateVector, key: PauliKey, source: OutcomeSource,
 
     # A applies T; pad becomes X^a Z^{a xor b} S^{-a}.
     reg.apply(qk.T, ["data"], party="A", transcript=tr, op="T")
-    # Link A's data value onto B's ebit half.
-    reg.apply(qk.CX, ["data", "eA"], party="A", transcript=tr, op="CX")
-    c = reg.measure("eA", "Z", source, "c", party="A", transcript=tr)
-
-    # Box linearizes the product c*a into shares z_A (at A) and z_B (at B).
-    z_a, z_b = pr_box_call(box, c, key.a, source=source, transcript=tr)
-    reg.apply(_z_power(z_a), ["data"], party="A", transcript=tr, op=f"Z^{z_a}")
-    reg.apply(_s_power(key.a) @ _z_power(z_b), ["eB"], party="B", transcript=tr,
-              op=f"S^{key.a} Z^{z_b}")
-    m = reg.measure("eB", "X", source, "m", party="B", transcript=tr)
+    c, m = _t_link(reg, tr, source, "data", ("eA", "eB"), _Share(0, key.a), box,
+                   ("c", "m"))
 
     tr.log("A", "broadcast", {"payload": {"c": c}})
     tr.log("B", "broadcast", {"payload": {}})
@@ -460,17 +490,6 @@ def btt_branches(psi: StateVector, key: PauliKey):
 class PMQCResources:
     ebits: int
     pr_boxes: int
-
-
-@dataclass(frozen=True)
-class _Share:
-    """A frame bit split into an A-known part and a B-known part."""
-    a: int = 0
-    b: int = 0
-
-    @property
-    def value(self) -> int:
-        return self.a ^ self.b
 
 
 @dataclass
@@ -604,28 +623,20 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     def t_gadget(st: _PMQCState, q: int) -> str:
         """Imprint T on the current site and linearize the S byproduct.
 
-        Consumes one fresh ebit and one PR box; A's S-power uses only her own
-        frame share, B's only hers, and the box output bits z_A/z_B absorb the
-        cross term, so the pad stays Pauli with shares intact.
+        Consumes one fresh ebit and one PR box through ``_t_link``, with the
+        row's x-frame shares: A's S-power uses only her own share, B's only
+        hers, and the box output bits z_A/z_B absorb the cross term, so the
+        pad stays Pauli with shares intact.
         """
         reg, tr, row, counters = st.reg, st.tr, st.rows[q], st.counters
         counters["t_events"] += 1
         counters["ebits"] += 1
         counters["boxes"] += 1
+        n = counters["t_events"]
         reg.apply(qk.T, [row.cur], party="A", transcript=tr, op="T-imprint")
-        ga, gb = f"g{counters['t_events']}A", f"g{counters['t_events']}B"
-        reg.add_ebit(ga, gb, "A", "B")
-        reg.apply(qk.CX, [row.cur, ga], party="A", transcript=tr, op="CX")
-        c = reg.measure(ga, "Z", source, f"gad{counters['t_events']}c",
-                        party="A", transcript=tr)
-        box = PRBox(box_id=counters["boxes"])
-        z_a, z_b = pr_box_call(box, c ^ row.x.a, row.x.b, source=source, transcript=tr)
-        reg.apply(_s_power(row.x.a) @ _z_power(z_a), [row.cur], party="A",
-                  transcript=tr, op=f"S^{row.x.a} Z^{z_a}")
-        reg.apply(_s_power(row.x.b) @ _z_power(z_b), [gb], party="B",
-                  transcript=tr, op=f"S^{row.x.b} Z^{z_b}")
-        m_g = reg.measure(gb, "X", source, f"gad{counters['t_events']}m",
-                          party="B", transcript=tr)
+        reg.add_ebit(f"g{n}A", f"g{n}B", "A", "B")
+        _, m_g = _t_link(reg, tr, source, row.cur, (f"g{n}A", f"g{n}B"), row.x,
+                         PRBox(box_id=counters["boxes"]), (f"gad{n}c", f"gad{n}m"))
         # Pushing T through X^x Z^z gives X^x Z^{x+z} S^{-x}; the split S^x
         # correction conjugates back through X^x, restoring Z^z exactly, so
         # only the disentangling outcome enters the frame.

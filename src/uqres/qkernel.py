@@ -26,6 +26,10 @@ Each holds its invariants up to float64 rounding of the validated inputs.  A
 channel's outputs inherit its Kraus completeness error (at most 1e-9) instead
 of being rechecked against the 1e-10 trace tolerance.
 
+Package constants are built once and trusted: ``protocols.Register.add_ebit``
+appends the ebit of :func:`_max_entangled` unchecked, and the register checks
+only the amplitudes a caller passes to ``add_qubit`` or ``add_state``.
+
 A density operator's spectrum is computed at most once: the constructor's
 positivity check keeps it, and :meth:`DensityOperator.eigenvalues` reuses it.
 
@@ -382,17 +386,6 @@ def gate(name: str) -> UnitaryOp:
     return UnitaryOp(HilbertSpec(_GATE_DIMS[key]), GATES[key], name=key)
 
 
-# Qudit generalizations -----------------------------------------------------
-
-def generalized_cx(d: int) -> np.ndarray:
-    """Qudit CX: |i, j> -> |i, i+j mod d>."""
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[i * d + ((i + j) % d), i * d + j] = 1
-    return m
-
-
 # State constructors ---------------------------------------------------------
 
 def basis_state(spec: HilbertSpec, index: int) -> StateVector:
@@ -407,6 +400,14 @@ def zero_state(dims) -> StateVector:
 
 def plus_state(d: int = 2) -> StateVector:
     return StateVector(_single(d), np.full(d, 1 / math.sqrt(d), dtype=complex))
+
+
+def _max_entangled(d: int) -> np.ndarray:
+    """Read-only amplitudes of |omega> = d^{-1/2} sum_i |ii>; d = 1 is a trivial bond."""
+    amps = np.zeros(d * d, dtype=complex)
+    amps[:: d + 1] = 1.0 / math.sqrt(d)
+    amps.setflags(write=False)
+    return amps
 
 
 def maximally_mixed(d: int) -> DensityOperator:

@@ -4,13 +4,15 @@ This engine forks by exception: when a run's prescribed prefix is used up,
 the next draw raises ``_Fork`` with its allowed outcomes, the partial run is
 thrown away, and each longer prefix is replayed from the start.  It calls a
 protocol 2L - 1 times for L leaves and keeps the leaves in depth-first order,
-the higher outcome of each draw first.  ``uqres.protocols.enumerate_runs``
+the higher outcome of each draw first, and forks under the same
+``qkernel.PRUNE`` rule as the engine.  ``uqres.protocols.enumerate_runs``
 runs each call to a leaf instead and is checked against this engine.
 """
 
 import numpy as np
 
 from uqres import protocols as pr
+from uqres import qkernel as qk
 
 
 class _Fork(Exception):
@@ -30,7 +32,7 @@ class ReplaySource(pr.OutcomeSource):
     def draw(self, label, probs):
         p = np.asarray(probs, dtype=float)
         if self.pos >= len(self.prefix):
-            raise _Fork([k for k in range(len(p)) if p[k] > 1e-12])
+            raise _Fork([k for k in range(len(p)) if p[k] > qk.PRUNE])
         k = self.prefix[self.pos]
         self.pos += 1
         self.probability *= float(p[k])

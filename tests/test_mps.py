@@ -7,16 +7,20 @@ from uqres import qkernel as qk
 from uqres.mps import GraphSpec, MPSChain, line_graph
 from uqres.qkernel import HilbertSpec, InvariantError
 
+import ebit_oracle
+
 
 def test_make_ebit_is_cx_plus_zero():
     e = mps.make_ebit(2)
     expect = np.zeros(4)
     expect[[0, 3]] = 2 ** -0.5
     assert np.abs(e.amplitudes - expect).max() < 1e-12
-    # literal construction path
-    built = qk.apply_unitary(qk.tensor(qk.plus_state(2), qk.zero_state((2,))),
-                             qk.generalized_cx(2))
-    assert np.abs(e.amplitudes - built.amplitudes).max() == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_make_ebit_is_bit_equal_to_the_literal_gate_route(d):
+    built = ebit_oracle.literal_ebit(d).amplitudes
+    assert mps.make_ebit(d).amplitudes.tobytes() == built.tobytes()
 
 
 def test_ebit_entanglement_is_log_d():

@@ -233,6 +233,29 @@ def test_register_rejects_growth_past_the_live_cap():
                               qk.CapExceededError)
 
 
-def test_register_rejects_zero_amplitudes():
+BAD_AMPLITUDES = {"zero": [0, 0], "nan": [np.nan, 1], "inf": [np.inf, 1], "short": [1],
+                  "long": [1, 0, 0]}
+
+
+@pytest.mark.parametrize("kind", ["qubit", "state"])
+@pytest.mark.parametrize("bad", BAD_AMPLITUDES)
+def test_register_rejects_unusable_amplitudes(bad, kind):
     reg = two_qubit_register()
-    assert_rejected_unchanged(reg, lambda: reg.add_qubit("n", "A", [0, 0]))
+    amps = BAD_AMPLITUDES[bad]
+    if kind == "qubit":
+        assert_rejected_unchanged(reg, lambda: reg.add_qubit("n", "A", amps))
+    else:
+        amps = amps * 2               # two qubits: twice the entries
+        assert_rejected_unchanged(reg, lambda: reg.add_state(["n", "m"], "A", amps))
+
+
+def test_add_ebit_trusts_the_shared_pair(monkeypatch):
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    reg = pr.Register()
+    for j in range(4):
+        reg.add_ebit(f"a{j}", f"b{j}")
+    assert calls == []
+    reg.add_qubit("q", "A", [1, 1])       # caller amplitudes are still checked
+    assert len(calls) == 1
