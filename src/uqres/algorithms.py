@@ -185,6 +185,8 @@ def grover_trace(n: int, marked: int, iterations: int) -> list[GroverStep]:
     """
     if n > 6:
         raise InvariantError("search register limited to 6 qubits")
+    if iterations < 0:
+        raise InvariantError(f"iterations must be >= 0, got {iterations}")
     dim = 2 ** n
     if not 0 <= marked < dim:
         raise InvariantError("marked index out of range")

@@ -135,12 +135,10 @@ class Circuit:
                         f"mux branch count {mux.control_dim} != control dimension "
                         f"{dims[ins_.control]}")
             elif isinstance(ins_, Measure):
+                # Z fits any wire; any other basis, named or custom, has its own size.
                 named = isinstance(ins_.basis, str)
-                if named and ins_.basis not in ("Z", "X", "Y"):
-                    raise InvariantError(f"unknown basis {ins_.basis!r}")
-                # Z fits any wire, X and Y are qubit bases, a custom basis has its own size.
-                d_basis = (None if ins_.basis == "Z" else 2) if named else ins_.basis.shape[0]
-                place((ins_.wire,), d_basis, "measure")
+                b = qk._named_basis(ins_.basis) if named else ins_.basis
+                place((ins_.wire,), None if named and ins_.basis == "Z" else b.shape[0], "measure")
                 if ins_.out in names:
                     raise InvariantError(f"duplicate outcome name {ins_.out!r}")
                 names.add(ins_.out)
@@ -164,22 +162,6 @@ class Circuit:
     @property
     def surviving_wires(self) -> tuple[int, ...]:
         return tuple(w for w in range(len(self.wires.dims)) if w not in self._discarded)
-
-    @property
-    def n_wires(self) -> int:
-        return len(self.wires.dims)
-
-
-def _basis_matrix(basis, d: int) -> np.ndarray:
-    if isinstance(basis, str):
-        if basis == "Z":
-            return np.eye(d, dtype=complex)
-        if basis == "X":
-            return qk.H.copy()
-        if basis == "Y":
-            return np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
-        raise InvariantError(f"unknown basis {basis!r}")
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +209,8 @@ def _walk(circuit: Circuit, columns: np.ndarray,
                          if all(rec.get(k) == v for k, v in ins.when.items()) else a)
                         for rec, a in branches]
         elif isinstance(ins, Measure):
-            b = _basis_matrix(ins.basis, dims[ins.wire])
+            b = (qk._named_basis(ins.basis, dims[ins.wire]) if isinstance(ins.basis, str)
+                 else ins.basis)
             measured[ins.wire] = (b, ins.out)
             pos = live.index(ins.wire)
             live_dims = [dims[w] for w in live]

@@ -192,14 +192,20 @@ def cmd_protocol(args) -> int:
     # Every config key is read here, so a malformed config exits 2.
     with qk._parsing("protocol config"):
         if name == "chsh":
-            rounds = int(config.get("rounds", 1000))
+            rounds = config.get("rounds", 1000)
+            if type(rounds) is not int or rounds < 1:
+                raise ParseFailure(f"rounds must be an int >= 1, got {rounds!r}")
         else:
             state = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                      else None)
         if name == "btt":
             key = pr.PauliKey(*config.get("key", (1, 1)))
         elif name == "pmqc":
-            programs = tuple(tuple(g) for g in config.get("programs", [["H", "T"]]))
+            programs = config.get("programs", [["H", "T"]])
+            if not isinstance(programs, list) or not all(
+                    isinstance(gates, list) and all(isinstance(g, str) for g in gates)
+                    for gates in programs):
+                raise ParseFailure(f"programs must be lists of gate names, got {programs!r}")
             if "cz_after" in config:
                 k0, k1 = config["cz_after"]
                 cz_after = (int(k0), int(k1))
@@ -210,7 +216,9 @@ def cmd_protocol(args) -> int:
                          if "resources" in config else None)
         elif name == "mbqc":
             angles = [float(a) for a in config.get("angles", [0.0])]
-            adaptive = bool(config.get("adaptive", True))
+            adaptive = config.get("adaptive", True)
+            if not isinstance(adaptive, bool):
+                raise ParseFailure(f"adaptive must be a JSON bool, got {adaptive!r}")
     if name == "chsh":
         results = {"win_rate_exhaustive": pr.chsh_game(),
                    "win_rate_sampled": pr.chsh_game(rounds=rounds, rng=rng),

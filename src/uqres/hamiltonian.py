@@ -249,10 +249,6 @@ class HistoryState:
         qk._require_close(clock_probabilities(self), 1.0 / (self.length + 1), qk.ATOL,
                           "history-state clock marginal is not uniform")
 
-    @property
-    def clock_dim(self) -> int:
-        return self.length + 1
-
 
 def clock_probabilities(hs: HistoryState) -> np.ndarray:
     amps = hs.state.amplitudes.reshape(-1, hs.length + 1)

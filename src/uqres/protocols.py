@@ -15,13 +15,15 @@ be deterministic in its source: replaying the same outcomes meets the same
 draws with the same probabilities.
 
 ``pmqc_run`` runs in stages (one injection, one hop, one T gadget or the CZ)
-and offers its state to the source after each one.  Under ``enumerate_runs``
-a run that forks off an earlier path resumes from a copy of that path's
-state at the last stage boundary before the fork, instead of rebuilding the
-register from the root; the leaves and their bits are the same either way.
-Only the first protocol of a run that asks to resume is resumed or
-checkpointed, and a run with ``on_step`` replays from the root.  ``btt`` and
-``mbqc_gate`` replay from the root as well.
+and has one stage hook: ``source.checkpoint(state)`` after each stage.  Under
+``enumerate_runs`` a run that forks off an earlier path resumes from a copy of
+that path's state at the last stage boundary before the fork, instead of
+rebuilding the register from the root; the leaves and their bits are the
+same either way.  Only the first protocol of a run that asks to resume is
+resumed or checkpointed; ``btt`` and ``mbqc_gate`` replay from the root.  An
+observer (a privacy check, say) is an ``OutcomeSource`` that overrides
+``checkpoint`` and keeps the default ``resume``: it never resumes, so it sees
+every stage of every leaf.
 
 One nonlocal T gadget (a T gate made nonlocal by one ebit and one PR box,
 ``_t_link``) serves both: PMQC spends one per T gate, and ``btt`` is the
@@ -32,7 +34,7 @@ unchecked; the register checks only amplitudes that callers pass in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,10 +165,12 @@ class OutcomeSource:
     """Where a protocol's measurement outcomes and PR-box hidden bits come from.
 
     A protocol that runs in stages may call ``resume`` once, before its first
-    stage, and ``checkpoint`` after each stage.  Both are no-ops here, so a
-    protocol drawing from this class or ``SamplingSource`` runs from the
-    root; ``ReplaySource`` uses them to skip the stages an earlier run of the
-    same path has already run.
+    stage, and ``checkpoint`` after each stage; ``checkpoint`` is its one
+    stage hook.  Both are no-ops here, so a protocol drawing from this class
+    or ``SamplingSource`` runs from the root.  ``ReplaySource`` uses them to
+    skip the stages an earlier run of the same path has already run.  An
+    observer overrides ``checkpoint`` only: with the default ``resume`` the
+    protocol runs every stage from the root and offers each one to it.
     """
     probability: float
 
@@ -256,9 +260,11 @@ def enumerate_runs(protocol_fn):
     must be deterministic in its source, since each call replays the prefix
     of an earlier one.  A staged protocol (``pmqc_run``) resumes that prefix
     from its last stage boundary before the fork rather than from the root;
-    only the first such protocol in ``protocol_fn`` is resumed, and a run
-    with ``on_step`` replays from the root.  The stack of prefixes still to
-    run, each with its checkpoint, is bounded by the depth of the search.
+    only the first such protocol in ``protocol_fn`` is resumed.  To observe
+    every stage of every leaf, ``protocol_fn`` passes the protocol a source
+    that forwards ``draw`` and overrides ``checkpoint`` but not ``resume``.
+    The stack of prefixes still to run, each with its checkpoint, is bounded
+    by the depth of the search.
     """
     results = []
     stack: list[tuple[tuple[int, ...], tuple | None]] = [((), None)]
@@ -280,7 +286,8 @@ def angle_basis(theta: float) -> np.ndarray:
                     dtype=complex) / math.sqrt(2)
 
 
-_BASES = {"Z": np.eye(2, dtype=complex), "X": qk.H}
+_UNIT = np.ones(1, dtype=complex)   # the empty register's vector, read-only
+_UNIT.setflags(write=False)
 _EBIT = qk._max_entangled(2)   # (|00> + |11>) / sqrt(2), read-only, shared by every ebit
 LIVE_CAP = 12                  # most qubits a Register holds at once
 
@@ -302,7 +309,7 @@ class Register:
     def __init__(self):
         self.names: list[str] = []
         self.owners: dict[str, str] = {}
-        self.vec = np.ones(1, dtype=complex)
+        self.vec = _UNIT
         self.max_live = 0
 
     def copy(self) -> "Register":
@@ -362,7 +369,7 @@ class Register:
         w = self.index(name)
         if party is not None and self.owners[name] != party:
             raise InvariantError(f"party {party} cannot measure {name!r}")
-        b = _BASES[basis] if isinstance(basis, str) else np.asarray(basis, dtype=complex)
+        b = qk._named_basis(basis) if isinstance(basis, str) else np.asarray(basis, dtype=complex)
         subs = qk._measure_split(self.vec, b, w, (2,) * len(self.names))
         probs = (np.abs(subs) ** 2).sum(axis=1)
         k = source.draw(label, probs)
@@ -492,13 +499,14 @@ class PMQCResources:
     pr_boxes: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Row:
+    """One logical qubit's line of the cluster: a stage replaces it, never edits it."""
     qubit: int
     cur: str                      # current head holding the logical state
-    x: _Share = field(default_factory=_Share)
-    z: _Share = field(default_factory=_Share)
-    sites: int = 0
+    x: _Share
+    z: _Share
+    sites: int
 
 
 @dataclass(frozen=True)
@@ -545,23 +553,23 @@ def _program_order(programs, cz_after):
 class _PMQCState:
     """What a pmqc run carries from one stage to the next.
 
-    ``copy`` shares only what is never written in place: the register vector,
-    the frozen transcript events and the frozen ``_Share`` pairs.
+    ``t_count`` counts the T gadgets run so far; each spent one ebit and one
+    PR box.  ``copy`` shares only what is never written in place: the
+    register vector, the frozen transcript events and the frozen rows.
     """
 
     def __init__(self, reg: Register, rows: list[_Row], tr: Transcript,
-                 counters: dict[str, int], stage: int = 0):
+                 t_count: int = 0, stage: int = 0):
         self.reg, self.rows, self.tr = reg, rows, tr
-        self.counters, self.stage = counters, stage
+        self.t_count, self.stage = t_count, stage
 
     def copy(self) -> "_PMQCState":
-        return _PMQCState(self.reg.copy(), [replace(r) for r in self.rows],
-                          self.tr.copy(), dict(self.counters), self.stage)
+        return _PMQCState(self.reg.copy(), list(self.rows), self.tr.copy(),
+                          self.t_count, self.stage)
 
 
 def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
-             source: OutcomeSource, resources: PMQCResources | None = None,
-             on_step=None) -> PMQCResult:
+             source: OutcomeSource, resources: PMQCResources | None = None) -> PMQCResult:
     """Run an H/T (+ optional single CZ) program blindly on one-time-padded inputs.
 
     B injects the plaintext by Bell-measuring it against the input-site tails
@@ -571,11 +579,12 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     broadcast lets B assemble the output pads.
 
     The run is a list of stages (one injection, one hop, one T gadget or the
-    CZ) over one ``_PMQCState``.  It asks ``source.resume`` for its starting
-    state and offers ``source.checkpoint`` the state after each stage, so
-    under ``enumerate_runs`` a replayed path starts at its last stage boundary
-    before the fork.  ``on_step(label, register)`` is invoked after each stage
-    instead, for privacy instrumentation; such a run replays from the root.
+    CZ) over one ``_PMQCState``.  It asks ``source.resume`` once for its
+    starting state and offers ``source.checkpoint`` the state after each
+    stage, its one stage hook: under ``enumerate_runs`` a replayed path starts
+    at its last stage boundary before the fork, and an observer that keeps the
+    default ``resume`` sees every stage from the root (the register in
+    ``state.reg``, the stage count in ``state.stage``).
     """
     programs = tuple(tuple(g.upper() for g in gates) for gates in programs)
     _validate_program(programs, cz_after)
@@ -588,7 +597,7 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
             f"program needs {t_total} ebits and PR boxes, got "
             f"{resources.ebits} ebits / {resources.pr_boxes} boxes")
 
-    def inject(st: _PMQCState, q: int) -> str:
+    def inject(st: _PMQCState, q: int) -> None:
         """Inject plaintext qubit q through its input-site tail (Bell measurement at B)."""
         reg, tr = st.reg, st.tr
         head, tail = f"h{q}s0", f"t{q}s0"
@@ -597,30 +606,21 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         reg.apply(qk.H, [f"pi{q}"], party="B", transcript=tr, op="H")
         m1 = reg.measure(f"pi{q}", "Z", source, f"bell{q}a", party="B", transcript=tr)
         m2 = reg.measure(tail, "Z", source, f"bell{q}b", party="B", transcript=tr)
-        st.rows.append(_Row(q, head, _Share(0, m2), _Share(0, m1)))
-        return f"inject_q{q}"
+        st.rows.append(_Row(q, head, _Share(0, m2), _Share(0, m1), 0))
 
-    def new_site(st: _PMQCState, row: _Row) -> tuple[str, int]:
-        """Add a tailed site (tail removed at B, CZ edge at A); return (head, tail outcome)."""
-        reg, tr = st.reg, st.tr
-        row.sites += 1
-        head, tail = f"h{row.qubit}s{row.sites}", f"t{row.qubit}s{row.sites}"
+    def hop(st: _PMQCState, q: int) -> None:
+        """Add a tailed site (tail removed at B, CZ edge at A), then X-measure the old head."""
+        reg, tr, row = st.reg, st.tr, st.rows[q]
+        sites = row.sites + 1
+        head, tail = f"h{q}s{sites}", f"t{q}s{sites}"
         reg.add_ebit(head, tail, "A", "B")
         m = reg.measure(tail, "X", source, f"tail_{tail}", party="B", transcript=tr)
         reg.apply(qk.CZ, [row.cur, head], party="A", transcript=tr, op="CZ")
-        return head, m
+        a = reg.measure(row.cur, "X", source, f"hop_{row.cur}", party="A", transcript=tr)
+        st.rows[q] = _Row(q, head, _Share(row.z.a ^ a, row.z.b),
+                          _Share(row.x.a, row.x.b ^ m), sites)
 
-    def hop(st: _PMQCState, q: int) -> str:
-        """X-measure the current head; the logical state moves one site right."""
-        row = st.rows[q]
-        head, m = new_site(st, row)
-        a = st.reg.measure(row.cur, "X", source, f"hop_{row.cur}", party="A",
-                           transcript=st.tr)
-        row.cur = head
-        row.x, row.z = _Share(row.z.a ^ a, row.z.b), _Share(row.x.a, row.x.b ^ m)
-        return f"hop_q{q}_s{row.sites}"
-
-    def t_gadget(st: _PMQCState, q: int) -> str:
+    def t_gadget(st: _PMQCState, q: int) -> None:
         """Imprint T on the current site and linearize the S byproduct.
 
         Consumes one fresh ebit and one PR box through ``_t_link``, with the
@@ -628,28 +628,23 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         hers, and the box output bits z_A/z_B absorb the cross term, so the
         pad stays Pauli with shares intact.
         """
-        reg, tr, row, counters = st.reg, st.tr, st.rows[q], st.counters
-        counters["t_events"] += 1
-        counters["ebits"] += 1
-        counters["boxes"] += 1
-        n = counters["t_events"]
+        reg, tr, row = st.reg, st.tr, st.rows[q]
+        st.t_count += 1
+        n = st.t_count
         reg.apply(qk.T, [row.cur], party="A", transcript=tr, op="T-imprint")
         reg.add_ebit(f"g{n}A", f"g{n}B", "A", "B")
         _, m_g = _t_link(reg, tr, source, row.cur, (f"g{n}A", f"g{n}B"), row.x,
-                         PRBox(box_id=counters["boxes"]), (f"gad{n}c", f"gad{n}m"))
+                         PRBox(box_id=n), (f"gad{n}c", f"gad{n}m"))
         # Pushing T through X^x Z^z gives X^x Z^{x+z} S^{-x}; the split S^x
         # correction conjugates back through X^x, restoring Z^z exactly, so
         # only the disentangling outcome enters the frame.
-        row.z = _Share(row.z.a, row.z.b ^ m_g)
-        return f"tgadget_q{q}"
+        st.rows[q] = _Row(q, row.cur, row.x, _Share(row.z.a, row.z.b ^ m_g), row.sites)
 
-    def apply_cz(st: _PMQCState, q: None) -> str:
+    def apply_cz(st: _PMQCState, q: None) -> None:
         r0, r1 = st.rows
         st.reg.apply(qk.CZ, [r0.cur, r1.cur], party="A", transcript=st.tr, op="CZ")
-        x0, x1 = r0.x, r1.x
-        r0.z = _Share(r0.z.a ^ x1.a, r0.z.b ^ x1.b)
-        r1.z = _Share(r1.z.a ^ x0.a, r1.z.b ^ x0.b)
-        return "cz"
+        st.rows = [_Row(r.qubit, r.cur, r.x, _Share(r.z.a ^ o.x.a, r.z.b ^ o.x.b), r.sites)
+                   for r, o in ((r0, r1), (r1, r0))]
 
     stages = [(inject, q) for q in range(nq)]
     for q, g in _program_order(programs, cz_after):
@@ -660,18 +655,14 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         else:
             stages += [(t_gadget, q), (hop, q), (hop, q)]
 
-    st = _PMQCState(Register(), [], Transcript(), {"ebits": 0, "boxes": 0, "t_events": 0})
+    st = _PMQCState(Register(), [], Transcript())
     st.reg.add_state([f"pi{q}" for q in range(nq)], "B", plaintext.amplitudes)
-    if on_step is None:
-        st = source.resume(st)
+    st = source.resume(st)
     while st.stage < len(stages):
         stage, q = stages[st.stage]
-        label = stage(st, q)
+        stage(st, q)
         st.stage += 1
-        if on_step is None:
-            source.checkpoint(st)
-        else:
-            on_step(label, st.reg)
+        source.checkpoint(st)
 
     rows, tr = st.rows, st.tr
     tr.log("A", "broadcast",
@@ -679,10 +670,7 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     tr.log("B", "broadcast", {"payload": {}})
     keys = tuple((r.x.value, r.z.value) for r in rows)
     output = st.reg.extract([r.cur for r in rows])
-    if on_step is not None:
-        on_step("end", st.reg)
-    return PMQCResult(output, keys, tr, st.counters["ebits"], st.counters["boxes"],
-                      st.counters["t_events"], st.reg.max_live)
+    return PMQCResult(output, keys, tr, st.t_count, st.t_count, st.t_count, st.reg.max_live)
 
 
 def decrypt_pads(state: StateVector, keys) -> StateVector:
@@ -735,6 +723,8 @@ def mbqc_gate(angles, psi: StateVector, adaptive: bool = True) -> list[MBQCBranc
         raise InvariantError("cluster row limited to 6 qubits")
     if psi.spec.dims != (2,):
         raise InvariantError("mbqc_gate teleports a single qubit")
+    if not np.isfinite(angles).all():
+        raise InvariantError(f"mbqc angles must be finite, got {angles}")
 
     def run(source: OutcomeSource):
         reg = Register()

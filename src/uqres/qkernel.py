@@ -378,6 +378,20 @@ _GATE_DIMS = {"I": (2,), "X": (2,), "Y": (2,), "Z": (2,), "H": (2,), "S": (2,),
               "SWAP": (2, 2), "CCX": (2, 2, 2)}
 
 
+# Named measurement bases, outcome k in column k.  "Z" is the computational
+# basis and fits a wire of any dimension; "X" and "Y" are qubit bases.
+_BASES = {"Z": I2, "X": H,
+          "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)}
+_BASES["Y"].setflags(write=False)
+
+
+def _named_basis(name: str, d: int = 2) -> np.ndarray:
+    """The columns of the named basis ``name`` on a ``d``-level wire; never write them."""
+    if name not in _BASES:
+        raise InvariantError(f"unknown basis {name!r}")
+    return np.eye(d, dtype=complex) if name == "Z" and d != 2 else _BASES[name]
+
+
 def gate(name: str) -> UnitaryOp:
     """Named gate constructor (H, T, S, X, Y, Z, CX, CZ, CCX, SWAP, SDG, TDG, I)."""
     key = name.upper()
@@ -651,7 +665,7 @@ def _parsing(what: str):
     """Turn the errors of reading a malformed document into :class:`ParseFailure`."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseFailure(f"bad {what}: {exc!r}") from exc
 
 

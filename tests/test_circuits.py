@@ -329,7 +329,8 @@ def embedded_branch_kraus(circuit):
             g = lift(ins.multiplexer.matrix, (ins.control,) + ins.targets)
             branches = [(rec, g @ k) for rec, k in branches]
         elif isinstance(ins, Measure):
-            b = qc._basis_matrix(ins.basis, dims[ins.wire])
+            b = (qk._named_basis(ins.basis, dims[ins.wire]) if isinstance(ins.basis, str)
+                 else ins.basis)
             bases[ins.wire] = (b, ins.out)
             new = []
             for rec, k in branches:

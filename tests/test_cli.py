@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqres import cli
 from uqres import qkernel as qk
@@ -364,6 +367,12 @@ def test_grover_beyond_the_cap_exits_4(tmp_path, capsys, n):
     assert f"total dimension ~2^{n} exceeds cap" in capsys.readouterr().err
 
 
+def test_grover_negative_iterations_exits_3(tmp_path):
+    path = tmp_path / "config.json"
+    write_json(path, {"iterations": -1})
+    assert run(["algorithm", "grover", "--config", str(path)]) == 3
+
+
 def test_hamiltonian_history_negative_length_exits_2():
     assert run(["hamiltonian", "history", "--length", "-1"]) == 2
 
@@ -393,6 +402,14 @@ BAD_CONFIGS = {
     "one-control-qubits-not-a-number": ("algorithm one-control", {"qubits": "two"}),
     "chsh-rounds-not-a-number": ("protocol chsh", {"rounds": "many"}),
     "mbqc-angles-not-a-list": ("protocol mbqc", {"angles": 0.3}),
+    "pmqc-gate-not-a-string": ("protocol pmqc", {"programs": [[1]]}),
+    "pmqc-gate-null": ("protocol pmqc", {"programs": [[None]]}),
+    "pmqc-programs-a-string": ("protocol pmqc", {"programs": "HT"}),
+    "pmqc-program-a-string": ("protocol pmqc", {"programs": ["HT"]}),
+    "mbqc-adaptive-a-string": ("protocol mbqc", {"adaptive": "no"}),
+    "chsh-rounds-zero": ("protocol chsh", {"rounds": 0}),
+    "chsh-rounds-negative": ("protocol chsh", {"rounds": -5}),
+    "one-control-qubits-infinite": ("algorithm one-control", {"qubits": math.inf}),
 }
 
 
@@ -417,3 +434,37 @@ def test_tol_flag_is_rejected_and_report_keeps_invariant_tolerance(tmp_path, cap
     text = capsys.readouterr().out
     assert '"tolerance": 1e-10' in text
     assert all(r["tolerance"] == 1e-10 for r in json.loads(text)["results"])
+
+
+# Fuzzed --config documents exit cleanly ---------------------------------------
+
+CONFIG_KEYS = {
+    "protocol btt": ("state", "key"),
+    "protocol pmqc": ("state", "programs", "cz_after", "resources"),
+    "protocol chsh": ("rounds",),
+    "protocol mbqc": ("state", "angles", "adaptive"),
+    "algorithm one-control": ("qubits", "epsilon", "u"),
+    "algorithm lcu": ("coeffs", "unitaries", "state"),
+    "algorithm grover": ("n", "marked", "iterations"),
+    "algorithm sandwich": ("control_dim", "data_dim"),
+}
+SCALARS = st.one_of(st.integers(-2, 3), st.floats(-8, 8),
+                    st.sampled_from([math.inf, -math.inf, math.nan]),
+                    st.sampled_from(["H", "T", "h", "S"]), st.text(max_size=3),
+                    st.booleans(), st.none())
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+CONFIGS = st.sampled_from(sorted(CONFIG_KEYS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.dictionaries(st.sampled_from(CONFIG_KEYS[command]), VALUES)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONFIGS)
+def test_fuzzed_configs_exit_cleanly(tmp_path_factory, case):
+    # Any value of any known key: the run succeeds, fails a verdict or an
+    # invariant, hits the cap, or is a malformed config; nothing escapes.
+    command, doc = case
+    folder = tmp_path_factory.getbasetemp()
+    write_json(folder / "fuzz_config.json", doc)
+    code = run(command.split() + ["--config", str(folder / "fuzz_config.json"),
+                                  "--cap", "64", "--out", str(folder / "fuzz_report.json")])
+    assert code in (0, 2, 3, 4), (command, doc)

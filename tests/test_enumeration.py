@@ -19,6 +19,7 @@ from uqres.circuits import Circuit, Measure
 from uqres.qkernel import HilbertSpec
 
 import replay_oracle
+from recording import Recorder
 
 
 def same(a, b) -> bool:
@@ -109,9 +110,9 @@ def test_pmqc_step_snapshots_match_the_oracle(enumerations):
 
     def run(source):
         snaps = []
-        pr.pmqc_run(psi, [["T"]], source=source,
-                    on_step=lambda label, reg: snaps.append(
-                        (label, tuple(reg.names), reg.vec.copy())))
+        pr.pmqc_run(psi, [["T"]], source=Recorder(source, lambda state: snaps.append(
+            (state.stage, state.t_count, list(state.rows), tuple(state.reg.names),
+             state.reg.vec.copy(), list(state.tr.events)))))
         return snaps
 
     pr.enumerate_runs(run)

@@ -7,6 +7,8 @@ from uqres.protocols import (PauliKey, PRBox, PMQCResources, SamplingSource,
                              Transcript, enumerate_runs)
 from uqres.qkernel import InvariantError, ResourceError
 
+from recording import Recorder
+
 
 def test_pauli_encrypt_examples():
     rng = np.random.default_rng(0)
@@ -193,31 +195,32 @@ def test_pmqc_rejects_bad_programs():
 
 def test_pmqc_key_privacy_exhaustive():
     # Averaged over everything B-local, A's live qubits are maximally mixed at
-    # every protocol step.
+    # every stage boundary.
     rng = np.random.default_rng(11)
-    for programs in ([["T"]], [["H", "H"]]):
+    for programs, stages in (([["T"]], 4), ([["H", "H"]], 3)):
         psi = qk.random_state((2,), rng)
 
         def run(source):
             snaps = []
 
-            def on_step(label, reg):
+            def record(state):
+                reg = state.reg
                 a_live = [n for n in reg.names if reg.owners[n] == "A"]
                 if a_live:
-                    snaps.append((label, tuple(a_live), reg.reduced(a_live)))
+                    snaps.append((state.stage, tuple(a_live), reg.reduced(a_live)))
 
-            pr.pmqc_run(psi, programs, source=source, on_step=on_step)
+            pr.pmqc_run(psi, programs, source=Recorder(source, record))
             return snaps
 
         sums = {}
         for prob, snaps in enumerate_runs(run):
-            for label, names, rho in snaps:
-                key = (label, names)
+            for stage, names, rho in snaps:
+                key = (stage, names)
                 sums[key] = sums.get(key, 0) + prob * rho
-        assert sums
-        for (label, names), rho in sums.items():
+        assert {stage for stage, _ in sums} == set(range(1, stages + 1))
+        for (stage, names), rho in sums.items():
             d = rho.shape[0]
-            assert np.abs(rho - np.eye(d) / d).max() < 1e-9, label
+            assert np.abs(rho - np.eye(d) / d).max() < 1e-9, stage
 
 
 def test_pmqc_two_qubit_privacy():
@@ -274,6 +277,12 @@ def test_mbqc_non_adaptive_fails():
     fids = [qk.state_fidelity(b.corrected, target)
             for b in pr.mbqc_gate(angles, psi, adaptive=False)]
     assert min(fids) < 1 - 1e-3
+
+
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+def test_mbqc_rejects_a_non_finite_angle(angle):
+    with pytest.raises(InvariantError):
+        pr.mbqc_gate([0.3, angle], qk.plus_state(2))
 
 
 def test_transcript_json_lines():

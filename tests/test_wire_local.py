@@ -20,6 +20,7 @@ from uqres import qkernel as qk
 from uqres.qkernel import HilbertSpec, InvariantError, QuantumChannel
 
 from embedding import embed_operator
+from recording import Recorder
 
 SMALL = settings(max_examples=40, deadline=None)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -160,14 +161,33 @@ def test_program_unitary_is_bitwise_equal_to_the_embedded_fold():
     assert count == 7 + 49 + sum((len(a) + 1) * (len(b) + 1) for a in WORDS for b in WORDS)
 
 
+def stage_label(first) -> str:
+    """A pmqc stage, named from the first transcript event it logs."""
+    if first.action == "measure":                 # B removes the new site's tail t{q}s{n}
+        q, n = first.payload["qubit"][1:].split("s")
+        return f"hop_q{q}_s{n}"
+    op, qubit = first.payload["op"], first.payload["qubits"][0]
+    if op == "CX":                                # B's Bell measurement on pi{q}
+        return f"inject_q{qubit[2:]}"
+    if op == "T-imprint":                         # A's T on the head h{q}s{n}
+        return f"tgadget_q{qubit[1:].split('s')[0]}"
+    return op.lower()
+
+
 def test_pmqc_steps_follow_the_program_order():
-    labels = []
-    pr.pmqc_run(qk.zero_state((2, 2)), (("H", "T"), ("T", "H")), cz_after=(1, 1),
-                source=pr.SamplingSource(np.random.default_rng(0)),
-                on_step=lambda label, reg: labels.append(label))
+    labels, logged = [], 0
+
+    def record(state):
+        nonlocal logged
+        labels.append(stage_label(state.tr.events[logged]))
+        logged = len(state.tr.events)
+
+    res = pr.pmqc_run(qk.zero_state((2, 2)), (("H", "T"), ("T", "H")), cz_after=(1, 1),
+                      source=Recorder(pr.SamplingSource(np.random.default_rng(0)), record))
     assert labels == ["inject_q0", "inject_q1", "hop_q0_s1",
                       "tgadget_q1", "hop_q1_s1", "hop_q1_s2", "cz",
-                      "tgadget_q0", "hop_q0_s2", "hop_q0_s3", "hop_q1_s3", "end"]
+                      "tgadget_q0", "hop_q0_s2", "hop_q0_s3", "hop_q1_s3"]
+    assert [e.action for e in res.transcript.events[logged:]] == ["broadcast"] * 2
 
 
 # ---------------------------------------------------------------------------
