@@ -69,6 +69,25 @@ def matrix_from_json(rows) -> np.ndarray:
     return qk._decode_complex(rows, 2, "matrix")
 
 
+def _int_key(config: dict, name: str, default=None, count: int | None = None):
+    """Config key ``name``: one JSON integer, or with ``count`` a list of that many.
+
+    Only JSON integers pass: ``true``, ``2.0`` and ``"2"`` are parse errors,
+    never truncated.  An absent key reads as ``default``.  A list comes back
+    as a tuple.
+    """
+    value = config.get(name, default)
+    if count is None:
+        if type(value) is not int:
+            raise ParseFailure(f"key {name!r} must be a JSON integer, got {value!r}")
+        return value
+    if not (isinstance(value, list) and len(value) == count
+            and all(type(v) is int for v in value)):
+        raise ParseFailure(
+            f"key {name!r} must be a list of {count} JSON integers, got {value!r}")
+    return tuple(value)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -192,27 +211,23 @@ def cmd_protocol(args) -> int:
     # Every config key is read here, so a malformed config exits 2.
     with qk._parsing("protocol config"):
         if name == "chsh":
-            rounds = config.get("rounds", 1000)
-            if type(rounds) is not int or rounds < 1:
-                raise ParseFailure(f"rounds must be an int >= 1, got {rounds!r}")
+            rounds = _int_key(config, "rounds", 1000)
+            if rounds < 1:
+                raise ParseFailure(f"rounds must be >= 1, got {rounds}")
         else:
             state = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                      else None)
         if name == "btt":
-            key = pr.PauliKey(*config.get("key", (1, 1)))
+            key = pr.PauliKey(*_int_key(config, "key", [1, 1], count=2))
         elif name == "pmqc":
             programs = config.get("programs", [["H", "T"]])
             if not isinstance(programs, list) or not all(
                     isinstance(gates, list) and all(isinstance(g, str) for g in gates)
                     for gates in programs):
                 raise ParseFailure(f"programs must be lists of gate names, got {programs!r}")
-            if "cz_after" in config:
-                k0, k1 = config["cz_after"]
-                cz_after = (int(k0), int(k1))
-            else:
-                cz_after = None
-            resources = (pr.PMQCResources(int(config["resources"]["ebits"]),
-                                          int(config["resources"]["pr_boxes"]))
+            cz_after = _int_key(config, "cz_after", count=2) if "cz_after" in config else None
+            resources = (pr.PMQCResources(_int_key(config["resources"], "ebits"),
+                                          _int_key(config["resources"], "pr_boxes"))
                          if "resources" in config else None)
         elif name == "mbqc":
             angles = [float(a) for a in config.get("angles", [0.0])]
@@ -282,7 +297,7 @@ def cmd_hamiltonian(args) -> int:
     elif action == "hqca":
         doc = _load_json(_one_input(args))
         with qk._parsing("hqca document"):
-            layers = [{int(k): int(v) for k, v in layer.items()} for layer in doc["layers"]]
+            layers = [{int(k): _int_key(layer, k) for k in layer} for layer in doc["layers"]]
             data = vector_from_json(doc["data"], cap=args.cap)
         out = ham.hqca_run(layers, data)
         direct = ham.hqca_direct(layers, data)
@@ -322,7 +337,7 @@ def cmd_algorithm(args) -> int:
     # register size is checked against --cap before any dense work (exit 4).
     with qk._parsing("algorithm config"):
         if name == "one-control":
-            n = int(config.get("qubits", 2))
+            n = _int_key(config, "qubits", 2)
             eps = float(config.get("epsilon", 0.01))
             u = matrix_from_json(config["u"]) if "u" in config else None
             qk.HilbertSpec((2, 2 ** n if u is None else len(u)), cap=args.cap)
@@ -334,12 +349,12 @@ def cmd_algorithm(args) -> int:
             psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                    else qk.zero_state((us[0].shape[0],)))
         elif name == "grover":
-            grover = (int(config.get("n", 2)), int(config.get("marked", 0)),
-                      int(config.get("iterations", 1)))
+            grover = (_int_key(config, "n", 2), _int_key(config, "marked", 0),
+                      _int_key(config, "iterations", 1))
             qk.HilbertSpec((2 ** grover[0],), cap=args.cap)
         elif name == "sandwich":
-            d1 = int(config.get("control_dim", 2))
-            d2 = int(config.get("data_dim", 2))
+            d1 = _int_key(config, "control_dim", 2)
+            d2 = _int_key(config, "data_dim", 2)
             qk.HilbertSpec((d1, d2), cap=args.cap)
     if name == "one-control":
         report = alg.one_control_report(u if u is not None else qk.haar_unitary(2 ** n, rng),
@@ -437,25 +452,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="coherence measures of a state file")
     p.add_argument("--measures", default="l1,log,rel")
     _add_common(p)
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("interference", help="interference power of a unitary circuit")
     _add_common(p)
-    p.set_defaults(func=cmd_interference)
 
     p = sub.add_parser("wigner", help="Wigner table, negativity and mana of a state")
     _add_common(p)
-    p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("circuit", help="simulate a circuit file (optionally on a state)")
     _add_common(p)
-    p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("protocol", help="run and verify a protocol")
     p.add_argument("name", choices=["btt", "pmqc", "chsh", "mbqc"])
     p.add_argument("--config", default=None, help="protocol config JSON")
     _add_common(p)
-    p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("hamiltonian", help="stoquastic / trotter / hqca / history / gap")
     p.add_argument("action", choices=["stoquastic", "trotter", "hqca", "history", "gap"])
@@ -464,25 +474,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=3)
     p.add_argument("--grid", type=int, default=101)
     _add_common(p)
-    p.set_defaults(func=cmd_hamiltonian)
 
     p = sub.add_parser("algorithm", help="algorithm resource reports")
     p.add_argument("name", choices=["one-control", "lcu", "grover", "sandwich"])
     p.add_argument("--config", default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_algorithm)
 
     p = sub.add_parser("make-goldens", help="regenerate the golden acceptance tables")
     _add_common(p)
-    p.set_defaults(func=cmd_make_goldens)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # Looked up by name on each call, not bound when the parser was built, so
+    # a ``cmd_*`` function rebound after import (a profiler's wrapper) runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ParseFailure as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE

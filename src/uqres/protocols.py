@@ -19,11 +19,14 @@ and has one stage hook: ``source.checkpoint(state)`` after each stage.  Under
 ``enumerate_runs`` a run that forks off an earlier path resumes from a copy of
 that path's state at the last stage boundary before the fork, instead of
 rebuilding the register from the root; the leaves and their bits are the
-same either way.  Only the first protocol of a run that asks to resume is
-resumed or checkpointed; ``btt`` and ``mbqc_gate`` replay from the root.  An
-observer (a privacy check, say) is an ``OutcomeSource`` that overrides
-``checkpoint`` and keeps the default ``resume``: it never resumes, so it sees
-every stage of every leaf.
+same either way.  The run hands ``source.resume`` a builder of its root state
+(``fresh``), which is called only when the run starts from the root, so a
+resumed run never builds (or checks) a root state it would throw away.  Only
+the first protocol of a run that asks to resume is resumed or checkpointed;
+``btt`` and ``mbqc_gate`` replay from the root.  An observer (a privacy
+check, say) is an ``OutcomeSource`` that overrides ``checkpoint`` and keeps
+the default ``resume``: it never resumes, so it sees every stage of every
+leaf.
 
 One nonlocal T gadget (a T gate made nonlocal by one ebit and one PR box,
 ``_t_link``) serves both: PMQC spends one per T gate, and ``btt`` is the
@@ -41,7 +44,7 @@ import numpy as np
 from . import qkernel as qk
 from .qkernel import HilbertSpec, InvariantError, ResourceError, StateVector
 
-PARTIES = ("A", "B")
+PARTIES = frozenset({"A", "B"})
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +118,7 @@ class TranscriptEvent:
 class Transcript:
     """Append-only event log for a two-party run."""
 
-    ACTIONS = ("local-op", "measure", "pr-box-call", "broadcast", "message")
+    ACTIONS = frozenset({"local-op", "measure", "pr-box-call", "broadcast", "message"})
 
     def __init__(self):
         self.events: list[TranscriptEvent] = []
@@ -181,8 +184,12 @@ class OutcomeSource:
         """Offer ``state`` (anything with a ``copy()``) at a stage boundary."""
 
     def resume(self, fresh):
-        """The state to run from: a restored copy of a checkpoint, or ``fresh``."""
-        return fresh
+        """The state to run from: a restored copy of a checkpoint, or ``fresh()``.
+
+        ``fresh`` builds the root state; it is called only when the run
+        starts from the root, as it always does here.
+        """
+        return fresh()
 
 
 class SamplingSource(OutcomeSource):
@@ -193,6 +200,7 @@ class SamplingSource(OutcomeSource):
 
     def draw(self, label, probs):
         p = np.asarray(probs, dtype=float)
+        qk._fork_outcomes(p.tolist())        # finite, with an outcome to draw
         p = p / p.sum()
         k = int(self.rng.choice(len(p), p=p))
         self.probability *= float(p[k])
@@ -211,7 +219,8 @@ class ReplaySource(OutcomeSource):
     ``start`` is the checkpoint this run starts from.  The first protocol
     that calls ``resume`` owns the run: it gets a copy of that state, the path
     and probability are restored to it, and only its later checkpoints are
-    kept.  A second protocol in the same run gets its fresh state, so it
+    kept.  Its ``fresh`` builder is called only when ``start`` is ``None``
+    (the root).  A second protocol in the same run gets ``fresh()``, so it
     never starts from the owner's.
     """
 
@@ -224,15 +233,15 @@ class ReplaySource(OutcomeSource):
         self._owner = None
 
     def draw(self, label, probs):
-        p = np.asarray(probs, dtype=float)
+        p = np.asarray(probs, dtype=float).tolist()
         depth = len(self.path)
         if depth < len(self.prefix):
             k = self.prefix[depth]
         else:
-            *lower, k = [j for j in range(len(p)) if p[j] > qk.PRUNE]
+            *lower, k = qk._fork_outcomes(p)
             taken = tuple(j for _, j in self.path)
             self.untried.extend((taken + (j,), self._latest) for j in lower)
-        self.probability *= float(p[k])
+        self.probability *= p[k]
         self.path.append((label, k))
         return k
 
@@ -242,9 +251,9 @@ class ReplaySource(OutcomeSource):
 
     def resume(self, fresh):
         if self._owner is not None:
-            return fresh
+            return fresh()
         if self._latest is None:
-            self._owner = fresh
+            self._owner = fresh()
         else:
             state, path, self.probability = self._latest
             self._owner, self.path = state.copy(), list(path)
@@ -256,7 +265,9 @@ def enumerate_runs(protocol_fn):
 
     The protocol is called once per leaf and runs to its end; leaves come out
     depth first, the higher outcome of each draw first.  An outcome whose
-    probability is at most ``qkernel.PRUNE`` is not followed.  The protocol
+    probability is at most ``qkernel.PRUNE`` is not followed, and a draw
+    with a non-finite probability or no outcome above it raises
+    ``InvariantError`` (``qkernel._fork_outcomes``).  The protocol
     must be deterministic in its source, since each call replays the prefix
     of an earlier one.  A staged protocol (``pmqc_run``) resumes that prefix
     from its last stage boundary before the fork rather than from the root;
@@ -580,11 +591,13 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
 
     The run is a list of stages (one injection, one hop, one T gadget or the
     CZ) over one ``_PMQCState``.  It asks ``source.resume`` once for its
-    starting state and offers ``source.checkpoint`` the state after each
-    stage, its one stage hook: under ``enumerate_runs`` a replayed path starts
-    at its last stage boundary before the fork, and an observer that keeps the
-    default ``resume`` sees every stage from the root (the register in
-    ``state.reg``, the stage count in ``state.stage``).
+    starting state, handing it ``fresh``, a builder of the root state (the
+    normalised plaintext in a new register) that is called only when the run
+    starts from the root.  It offers ``source.checkpoint`` the state after
+    each stage, its one stage hook: under ``enumerate_runs`` a replayed path
+    starts at its last stage boundary before the fork, and an observer that
+    keeps the default ``resume`` sees every stage from the root (the register
+    in ``state.reg``, the stage count in ``state.stage``).
     """
     programs = tuple(tuple(g.upper() for g in gates) for gates in programs)
     _validate_program(programs, cz_after)
@@ -655,9 +668,12 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
         else:
             stages += [(t_gadget, q), (hop, q), (hop, q)]
 
-    st = _PMQCState(Register(), [], Transcript())
-    st.reg.add_state([f"pi{q}" for q in range(nq)], "B", plaintext.amplitudes)
-    st = source.resume(st)
+    def fresh() -> _PMQCState:
+        st = _PMQCState(Register(), [], Transcript())
+        st.reg.add_state([f"pi{q}" for q in range(nq)], "B", plaintext.amplitudes)
+        return st
+
+    st = source.resume(fresh)
     while st.stage < len(stages):
         stage, q = stages[st.stage]
         stage(st, q)

@@ -533,27 +533,40 @@ def dephase(rho: DensityOperator) -> DensityOperator:
 # an outcome whose probability relative to its parent is at most PRUNE is dropped.
 PRUNE = 1e-14
 
+
+def _fork_outcomes(probs) -> list[int]:
+    """The outcomes a branch enumeration follows: those with probability above PRUNE.
+
+    A probability that is not finite, or a draw with no outcome above PRUNE,
+    is an invariant violation rather than a leaf.
+    """
+    if not all(map(math.isfinite, probs)):
+        raise InvariantError(f"outcome probabilities {list(probs)} are not finite")
+    kept = [k for k, p in enumerate(probs) if p > PRUNE]
+    if not kept:
+        raise InvariantError(f"no outcome of {list(probs)} has probability above {PRUNE}")
+    return kept
+
+
 def apply_on_wires(amps: np.ndarray, m: np.ndarray, wires, dims) -> np.ndarray:
     """Apply an operator on a wire subset to raw amplitudes (no copy of m).
 
     ``amps`` has shape (D,) + batch: axis 0 is the composite index over
-    ``dims`` and every trailing batch column is transformed alike.
+    ``dims`` and every trailing batch column is transformed alike.  The index
+    bookkeeping is plain Python, since on small registers it costs more than
+    the product itself.
     """
-    dims = tuple(int(d) for d in dims)
-    wires = [int(w) for w in wires]
+    dims = tuple(dims)
     n = len(dims)
     batch = amps.shape[1:]
-    tens = amps.reshape(dims + batch)
-    rest = [w for w in range(n) if w not in wires]
-    perm = wires + rest + list(range(n, n + len(batch)))
-    tens = np.transpose(tens, perm)
-    d_sub = int(np.prod([dims[w] for w in wires]))
-    flat = tens.reshape(d_sub, -1)
-    flat = m @ flat
-    out_dims = [dims[w] for w in perm[:n]] + list(batch)
-    tens = flat.reshape(out_dims)
-    tens = np.transpose(tens, np.argsort(perm))
-    return tens.reshape(amps.shape)
+    perm = [*wires, *(w for w in range(n) if w not in wires), *range(n, n + len(batch))]
+    inverse = [0] * len(perm)
+    for i, axis in enumerate(perm):
+        inverse[axis] = i
+    flat = amps.reshape(dims + batch).transpose(perm).reshape(
+        math.prod(dims[w] for w in wires), -1)
+    return (m @ flat).reshape([dims[a] for a in perm[:n]] + list(batch)).transpose(
+        inverse).reshape(amps.shape)
 
 
 def _measure_split(amps: np.ndarray, basis: np.ndarray, wire: int, dims) -> np.ndarray:

@@ -297,6 +297,10 @@ MALFORMED = {
         {"sites": [0], "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}]}),
     "amplitude-with-three-numbers": ("measure", {"dims": [2], "amplitudes": [
         [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]]}),
+    "hqca-layer-value-a-float": ("hamiltonian hqca", {"layers": [{"0": 1.0}], "data": {
+        "dims": [2, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
+    "hqca-layer-value-a-bool": ("hamiltonian hqca", {"layers": [{"0": True}], "data": {
+        "dims": [2, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
 }
 
 
@@ -410,6 +414,26 @@ BAD_CONFIGS = {
     "chsh-rounds-zero": ("protocol chsh", {"rounds": 0}),
     "chsh-rounds-negative": ("protocol chsh", {"rounds": -5}),
     "one-control-qubits-infinite": ("algorithm one-control", {"qubits": math.inf}),
+    # Integer keys take JSON integers only; none of these is truncated.
+    "grover-n-fractional-and-marked-a-bool": ("algorithm grover", {"n": 2.9, "marked": True}),
+    "grover-n-integral-float": ("algorithm grover", {"n": 2.0}),
+    "grover-marked-a-bool": ("algorithm grover", {"marked": True}),
+    "grover-iterations-a-float": ("algorithm grover", {"iterations": 1.0}),
+    "one-control-qubits-integral-float": ("algorithm one-control", {"qubits": 2.0}),
+    "one-control-qubits-a-bool": ("algorithm one-control", {"qubits": True}),
+    "sandwich-control-dim-a-float": ("algorithm sandwich", {"control_dim": 2.5}),
+    "sandwich-data-dim-a-bool": ("algorithm sandwich", {"data_dim": True}),
+    "btt-key-bools": ("protocol btt", {"key": [True, False]}),
+    "btt-key-floats": ("protocol btt", {"key": [1.0, 0.0]}),
+    "btt-key-a-string": ("protocol btt", {"key": "11"}),
+    "pmqc-cz-after-floats": ("protocol pmqc", {"programs": [["H"], ["T"]],
+                                               "cz_after": [1.0, 0.0]}),
+    "pmqc-cz-after-a-string": ("protocol pmqc", {"programs": [["H"], ["T"]],
+                                                 "cz_after": "10"}),
+    "pmqc-resources-fractional": ("protocol pmqc", {
+        "programs": [["T"]], "resources": {"ebits": 1.5, "pr_boxes": 1}}),
+    "pmqc-resources-a-bool": ("protocol pmqc", {
+        "programs": [["T"]], "resources": {"ebits": 1, "pr_boxes": True}}),
 }
 
 
@@ -419,6 +443,30 @@ def test_malformed_config_exits_2(tmp_path, case):
     path = tmp_path / "config.json"
     write_json(path, doc)
     assert run(command.split() + ["--config", str(path)]) == 2
+
+
+# One parser per process ----------------------------------------------------------
+
+def test_consecutive_calls_each_see_only_their_own_arguments(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_circuit", lambda args: seen.append(
+        (list(args.inputs), args.seed, args.out)) or 0)
+    assert run(["circuit", "--in", "a.json", "--in", "b.json", "--seed", "5"]) == 0
+    assert run(["circuit", "--in", "c.json", "--seed", "7", "--out", "r.json"]) == 0
+    assert run(["circuit"]) == 0
+    assert seen == [(["a.json", "b.json"], 5, None), (["c.json"], 7, "r.json"),
+                    ([], 0, None)]
+
+
+def test_main_only_parses(tmp_path, monkeypatch, capsys):
+    def no_build():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    state = tmp_path / "plus.json"
+    write_json(state, plus_doc())
+    assert run(["measure", "--in", str(state)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]
 
 
 # The report's tolerance is the invariant tolerance; there is no --tol flag -----

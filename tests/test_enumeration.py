@@ -165,6 +165,26 @@ def test_pmqc_resumes_from_the_last_stage_boundary(monkeypatch):
     assert counts == {"measure": predicted, "protocol": 2048}
 
 
+def test_pmqc_builds_its_root_state_only_for_runs_from_the_root(monkeypatch):
+    # [H,T] injects in stage 0 with two draws, so 1 + 1 + 2 = 4 runs start at
+    # the root (the first run and the prefixes that fork before the first
+    # checkpoint); the other 2044 leaves resume.  Building the root state on
+    # every call would make 2048.
+    calls = 0
+    add_state = pr.Register.add_state
+
+    def counted_add_state(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return add_state(self, *args, **kwargs)
+
+    monkeypatch.setattr(pr.Register, "add_state", counted_add_state)
+    runs = pr.enumerate_runs(lambda src: pr.pmqc_run(qk.plus_state(2), [["H", "T"]],
+                                                    source=src))
+    assert len(runs) == 2048
+    assert calls == 4
+
+
 def test_leaves_share_no_transcript_or_output():
     runs = pr.enumerate_runs(lambda src: pr.pmqc_run(
         qk.plus_state(2), [["H", "H"]], source=src))
@@ -228,3 +248,14 @@ def test_fork_rule_is_read_from_one_place(monkeypatch):
     assert len(pr.enumerate_runs(lambda src: src.draw("x", [1 - p, p]))) == 1
     psi = qk.StateVector(HilbertSpec((2,)), np.sqrt([1 - p, p]))
     assert len(qc.simulate(Circuit(HilbertSpec((2,)), (Measure(0),)), psi)) == 1
+
+
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [0.0, 0.0]])
+def test_a_draw_with_nothing_to_follow_is_an_invariant_violation(probs):
+    with pytest.raises(qk.InvariantError):
+        pr.enumerate_runs(lambda src: src.draw("x", probs))
+
+
+def test_sampling_rejects_non_finite_probabilities():
+    with pytest.raises(qk.InvariantError):
+        pr.SamplingSource(np.random.default_rng(0)).draw("x", [np.nan, np.nan])

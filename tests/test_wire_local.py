@@ -2,7 +2,8 @@
 
 ``assemble``, ``choi_state``, ``program_unitary`` and the ``Register`` growth
 act on their own wires only; each must give exactly the array that the
-identity-Kronecker construction gives.
+identity-Kronecker construction gives.  ``apply_on_wires`` itself must give
+exactly the bits of the numpy-bookkeeping kernel in ``kernel_oracle.py``.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from uqres import protocols as pr
 from uqres import qkernel as qk
 from uqres.qkernel import HilbertSpec, InvariantError, QuantumChannel
 
+import kernel_oracle
 from embedding import embed_operator
 from recording import Recorder
 
@@ -29,6 +31,34 @@ SEEDS = st.integers(0, 2 ** 32 - 1)
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return a.shape == b.shape and np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# The kernel itself
+# ---------------------------------------------------------------------------
+
+@st.composite
+def kernel_cases(draw):
+    """Wire dims in {1, 2, 3} (total <= 256), any ordered wire subset, 0-2 batch axes."""
+    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=6)
+                .filter(lambda ds: math.prod(ds) <= 256))
+    wires = draw(st.permutations(range(len(dims))))[:draw(st.integers(1, len(dims)))]
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    return dims, wires, batch, draw(SEEDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+def test_apply_on_wires_is_bitwise_equal_to_the_numpy_bookkeeping_kernel(case):
+    dims, wires, batch, seed = case
+    rng = np.random.default_rng(seed)
+    d_sub = math.prod(dims[w] for w in wires)
+    m = rng.normal(size=(d_sub, d_sub)) + 1j * rng.normal(size=(d_sub, d_sub))
+    shape = (math.prod(dims),) + batch
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = qk.apply_on_wires(amps, m, wires, dims)
+    want = kernel_oracle.apply_on_wires(amps, m, wires, dims)
+    assert np.array_equal(got, want) and same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
