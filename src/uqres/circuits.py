@@ -549,7 +549,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 def _gate_from_json(op: dict) -> Gate:
     """Gate given by ``name`` (a key of ``qkernel.GATES``) or by ``matrix``."""
-    wires = tuple(op["wires"])
+    wires = qk._json_ints(op["wires"], "gate wires")
     if "name" not in op:
         return Gate(qk._decode_complex(op["matrix"], 2, "gate matrix"), wires)
     name = op["name"].upper()
@@ -563,25 +563,26 @@ def circuit_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> Circuit:
     dec = qk._decode_complex
     ins: list[Instruction] = []
     with qk._parsing("circuit document"):
-        dims = tuple(int(d) for d in doc["wires"])
+        dims = qk._json_ints(doc["wires"], "circuit wires")
         for op in doc["ops"]:
             kind = op["type"]
             if kind == "gate":
                 ins.append(_gate_from_json(op))
             elif kind == "mux":
-                ins.append(Mux(int(op["control"]),
+                ins.append(Mux(qk._json_int(op["control"], "mux control"),
                                tuple(dec(b, 2, "mux branch") for b in op["branches"]),
-                               tuple(op["targets"])))
+                               qk._json_ints(op["targets"], "mux targets")))
             elif kind == "measure":
                 basis = op.get("basis", "Z")
                 if not isinstance(basis, str):
                     basis = dec(basis, 2, "measurement basis")
-                ins.append(Measure(int(op["wire"]), basis, op["out"]))
+                ins.append(Measure(qk._json_int(op["wire"], "measured wire"), basis, op["out"]))
             elif kind == "cond":
-                ins.append(Cond({k: int(v) for k, v in op["when"].items()},
+                ins.append(Cond({k: qk._json_int(v, f"cond outcome {k!r}")
+                                 for k, v in op["when"].items()},
                                 _gate_from_json(op["gate"])))
             elif kind == "discard":
-                ins.append(Discard(int(op["wire"])))
+                ins.append(Discard(qk._json_int(op["wire"], "discarded wire")))
             else:
                 raise InvariantError(f"unknown op type {kind!r}")
     return Circuit(HilbertSpec(dims, cap=cap), tuple(ins))

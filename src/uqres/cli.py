@@ -7,9 +7,20 @@ Reports are JSON embedding the toolkit version, seed and the invariant
 tolerance (``qkernel.ATOL``), so identical configurations produce
 byte-identical files.  A report is sorted-key, two-space-indent JSON: its
 bytes are exactly ``json.dumps(doc, sort_keys=True, indent=2)`` plus one
-newline, written by ``qkernel._dumps_sorted``, which hands number tables to the
-C encoder.  Exit codes: 0 success, 2 parse error, 3 invariant/constraint
-violation, 4 resource/dimension cap exceeded.
+newline, written by ``qkernel._dumps_sorted``.  A rectangular table of floats
+(the ``[re, im]`` pairs of a branch state, whose measured wires repeat a few
+amplitudes many times) is written by formatting each distinct float bit
+pattern once, as the C encoder formats it (``NaN``, ``Infinity``,
+``-Infinity``, else ``float.__repr__``), and copying that text to every cell
+with the same bits; equal bits give equal text, so the bytes are the C
+encoder's.  Other number tables go to the C encoder whole.
+
+Every integer field of an input document or config is read by one rule
+(``qkernel._json_int``): a bool, a float or a string is a parse error, never
+truncated.  Loop counts have fixed bounds (``MAX_CHSH_ROUNDS``,
+``MAX_GROVER_ITERATIONS``, ``MAX_GAP_GRID``).  Exit codes: 0 success, 2 parse
+error, 3 invariant/constraint violation, 4 resource/dimension cap or loop
+bound exceeded.
 """
 
 from __future__ import annotations
@@ -38,6 +49,13 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_CAP = 4
 
+# Upper bounds on the loop counts a config or flag asks for, so that no input
+# buys unbounded work (each bound is about a second of work); a larger value
+# exits 4, like an input over --cap.
+MAX_CHSH_ROUNDS = 100_000
+MAX_GROVER_ITERATIONS = 1_000
+MAX_GAP_GRID = 10_001
+
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -45,7 +63,7 @@ EXIT_CAP = 4
 
 def _decode_state(doc, key: str, rank: int, cap: int):
     with qk._parsing("state document"):
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = qk._json_ints(doc["dims"], "state dims")
         data = qk._decode_complex(doc[key], rank, key)
     return qk.HilbertSpec(dims, cap=cap), data
 
@@ -72,27 +90,30 @@ def matrix_from_json(rows) -> np.ndarray:
 def _int_key(config: dict, name: str, default=None, count: int | None = None):
     """Config key ``name``: one JSON integer, or with ``count`` a list of that many.
 
-    Only JSON integers pass: ``true``, ``2.0`` and ``"2"`` are parse errors,
-    never truncated.  An absent key reads as ``default``.  A list comes back
-    as a tuple.
+    Read through ``qkernel._json_int``: ``true``, ``2.0`` and ``"2"`` are parse
+    errors, never truncated.  An absent key reads as ``default``.  A list
+    comes back as a tuple.
     """
     value = config.get(name, default)
     if count is None:
-        if type(value) is not int:
-            raise ParseFailure(f"key {name!r} must be a JSON integer, got {value!r}")
-        return value
-    if not (isinstance(value, list) and len(value) == count
-            and all(type(v) is int for v in value)):
-        raise ParseFailure(
-            f"key {name!r} must be a list of {count} JSON integers, got {value!r}")
-    return tuple(value)
+        return qk._json_int(value, f"key {name!r}")
+    return qk._json_ints(value, f"key {name!r}", count)
+
+
+def _bounded(count: int, bound: int, what: str) -> int:
+    """``count``, unless it exceeds ``bound``: then :class:`CapExceededError` (exit 4)."""
+    if count > bound:
+        raise CapExceededError(f"{what} {qk._int_text(count)} exceeds its bound {bound}")
+    return count
 
 
 def _load_json(path: str) -> dict:
+    # ValueError covers invalid JSON, bytes that are not UTF-8 and an integer
+    # of more than 4300 digits, which Python refuses to convert.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 
 
@@ -214,6 +235,7 @@ def cmd_protocol(args) -> int:
             rounds = _int_key(config, "rounds", 1000)
             if rounds < 1:
                 raise ParseFailure(f"rounds must be >= 1, got {rounds}")
+            _bounded(rounds, MAX_CHSH_ROUNDS, "rounds")
         else:
             state = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                      else None)
@@ -312,11 +334,12 @@ def cmd_hamiltonian(args) -> int:
         results = {"L": length,
                    "clock_probabilities": [float(p) for p in ham.clock_probabilities(hs)]}
     elif action == "gap":
+        grid = _bounded(args.grid, MAX_GAP_GRID, "--grid")
         doc = _load_json(_one_input(args))
         with qk._parsing("gap document"):
             h0 = matrix_from_json(doc["h_start"])
             h1 = matrix_from_json(doc["h_end"])
-        scan = ham.adiabatic_gap_scan(h0, h1, int(args.grid))
+        scan = ham.adiabatic_gap_scan(h0, h1, grid)
         s_min, g_min = ham.min_gap(scan)
         if args.out:
             _write_gap_csv(args.out, scan)
@@ -350,7 +373,8 @@ def cmd_algorithm(args) -> int:
                    else qk.zero_state((us[0].shape[0],)))
         elif name == "grover":
             grover = (_int_key(config, "n", 2), _int_key(config, "marked", 0),
-                      _int_key(config, "iterations", 1))
+                      _bounded(_int_key(config, "iterations", 1), MAX_GROVER_ITERATIONS,
+                               "iterations"))
             qk.HilbertSpec((2 ** grover[0],), cap=args.cap)
         elif name == "sandwich":
             d1 = _int_key(config, "control_dim", 2)

@@ -335,8 +335,8 @@ def termsum_to_json(terms: TermSum) -> dict:
 def termsum_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> TermSum:
     """Decode a term-sum document; malformed structure raises ``ParseFailure``."""
     with qk._parsing("term-sum document"):
-        dims = tuple(int(d) for d in doc["dims"])
-        terms = tuple(HamiltonianTerm(tuple(t["sites"]),
+        dims = qk._json_ints(doc["dims"], "term-sum dims")
+        terms = tuple(HamiltonianTerm(qk._json_ints(t["sites"], "term sites"),
                                       qk._decode_complex(t["matrix"], 2, "term matrix"),
                                       float(t["j"]))
                       for t in doc["terms"])

@@ -682,6 +682,25 @@ def _parsing(what: str):
         raise ParseFailure(f"bad {what}: {exc!r}") from exc
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; else :class:`ParseFailure`, never a truncation.
+
+    The one integer rule for every integer field of an input document:
+    ``true``, ``2.0``, ``2.9`` and ``"2"`` are all parse errors.
+    """
+    if type(value) is not int:
+        raise ParseFailure(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
+    """A list of JSON integers (of ``count`` of them, if given) as a tuple."""
+    if type(values) is not list or count not in (None, len(values)):
+        size = "any number of" if count is None else count
+        raise ParseFailure(f"{what} must be a list of {size} JSON integers, got {values!r}")
+    return tuple(_json_int(v, f"each entry of {what}") for v in values)
+
+
 def _encode_complex(a) -> list:
     """Nested ``[re, im]`` lists for a complex array of any rank."""
     a = np.asarray(a, dtype=complex)
@@ -691,10 +710,48 @@ def _encode_complex(a) -> list:
 _NUMBER_TYPES = frozenset((float, int))
 
 
-def _is_number_table(v: list) -> bool:
-    """``v`` is a non-empty list of non-empty lists of exact ``float``/``int`` (no bools)."""
-    return (bool(v) and set(map(type, v)) == {list} and all(v)
-            and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(v))))
+def _table_cell_types(v: list):
+    """The set of cell types if ``v`` is a number table, else ``None``.
+
+    A number table is a non-empty list of non-empty lists of exact
+    ``float``/``int`` (no bools).  The cells are scanned once, at C level.
+    """
+    if not v or set(map(type, v)) != {list} or not all(v):
+        return None
+    types = set(map(type, chain.from_iterable(v)))
+    return types if _NUMBER_TYPES.issuperset(types) else None
+
+
+def _float_token(x: float) -> str:
+    """One float as the C encoder writes it: ``NaN``, ``Infinity``, ``-Infinity`` or its repr."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _float_grid_text(v: list, inner: str) -> str:
+    """The body of a rectangular all-``float`` table: each distinct float formatted once.
+
+    Equal bit patterns give equal text, so :func:`_float_token` runs once per
+    distinct ``uint64`` pattern and the texts are gathered back through the
+    inverse of ``np.unique``, between the layout's cell and row separators.
+    ``-0.0`` and ``0.0``, and NaNs of different payloads, stay apart.
+    """
+    cell = inner + "  "
+    rows, width = len(v), len(v[0])
+    values = np.fromiter(chain.from_iterable(v), np.float64, rows * width)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(_float_token, bits.view(np.float64).tolist())), dtype=object)
+    out = np.empty((rows, 2 * width), dtype=object)
+    out[:, 0::2] = texts[inverse.reshape(rows, width)]
+    out[:, 1::2] = ",\n" + cell
+    out[:, -1] = f"\n{inner}],\n{inner}[\n{cell}"
+    out[-1, -1] = ""
+    return "".join(out.ravel().tolist())
 
 
 def _dumps_sorted(doc) -> str:
@@ -702,11 +759,22 @@ def _dumps_sorted(doc) -> str:
 
     With ``indent`` set, ``json`` drops its C encoder for the pure-Python one.
     Here dicts with ``str`` keys and lists are walked in Python, and a number
-    table (such as a list of ``[re, im]`` pairs) is encoded compactly by the C
-    encoder, its layout put in by two ``str.replace`` calls: no number, ``NaN``
-    or ``Infinity`` token contains ``[``, ``]`` or ``", "``.  Everything else
-    goes to ``json.dumps`` itself.  That includes a dict with a non-``str`` key,
-    because ``json`` sorts those before turning them into strings.
+    table (such as a list of ``[re, im]`` pairs) is written in one piece:
+
+      - a rectangular table of exact ``float`` cells formats each distinct
+        bit pattern once, as the C encoder does (``NaN``, ``Infinity``,
+        ``-Infinity``, else ``float.__repr__``), and gathers the texts back
+        with the layout's separators.  Measured wires sit in basis states, so
+        a branch report holds a few amplitudes many times over; equal bits
+        always give equal text, so the bytes are the C encoder's.
+      - any other number table (one holding an ``int``, or ragged) is encoded
+        compactly by the C encoder, its layout put in by two ``str.replace``
+        calls: no number, ``NaN`` or ``Infinity`` token contains ``[``, ``]``
+        or ``", "``.
+
+    Everything else goes to ``json.dumps`` itself.  That includes a dict with
+    a non-``str`` key, because ``json`` sorts those before turning them into
+    strings.
     """
     out: list[str] = []
     _write_sorted(doc, "", out.append)
@@ -723,12 +791,16 @@ def _write_sorted(v, indent: str, put) -> None:
             sep = ",\n"
         put(f"\n{indent}}}")
     elif type(v) is list and v:
-        if _is_number_table(v):
+        types = _table_cell_types(v)
+        if types is not None:
             cell = inner + "  "
             put(f"[\n{inner}[\n{cell}")
-            put(json.dumps(v)[2:-2]
-                .replace("], [", f"\n{inner}],\n{inner}[\n{cell}")
-                .replace(", ", ",\n" + cell))
+            if types == {float} and len(set(map(len, v))) == 1:
+                put(_float_grid_text(v, inner))
+            else:
+                put(json.dumps(v)[2:-2]
+                    .replace("], [", f"\n{inner}],\n{inner}[\n{cell}")
+                    .replace(", ", ",\n" + cell))
             put(f"\n{inner}]\n{indent}]")
         else:
             sep = "[\n"

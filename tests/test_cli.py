@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ def test_measure_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope", encoding="utf-8")
     assert run(["measure", "--in", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"iterations": 1' + b"0" * 5000 + b"}"])
+def test_unreadable_config_exits_2(tmp_path, text):
+    # Bytes that are not UTF-8, and an integer too long for Python to convert.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert run(["algorithm", "grover", "--config", str(bad)]) == 2
 
 
 def test_measure_invariant_violation_exits_3(tmp_path):
@@ -287,6 +296,17 @@ def _bell_ops():
             {"type": "gate", "name": "CX", "wires": [0, 1]}]
 
 
+def _cnot_mux(control, targets):
+    one, zero = [1.0, 0.0], [0.0, 0.0]
+    return {"type": "mux", "control": control, "targets": targets,
+            "branches": [[[one, zero], [zero, one]], [[zero, one], [one, zero]]]}
+
+
+def _z_term(sites):
+    return {"sites": sites, "j": 1.0,
+            "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}
+
+
 MALFORMED = {
     "circuit-without-wires": ("circuit", {"ops": _bell_ops()}),
     "measure-without-out": ("circuit", {"wires": [2, 2], "ops": _bell_ops() + [
@@ -301,6 +321,29 @@ MALFORMED = {
         "dims": [2, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
     "hqca-layer-value-a-bool": ("hamiltonian hqca", {"layers": [{"0": True}], "data": {
         "dims": [2, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
+    # Integer fields take JSON integers only; none of these is truncated.
+    "state-dims-fractional": ("measure", {"dims": [2.9], "amplitudes": [
+        [1.0, 0.0], [0.0, 0.0]]}),
+    "state-dims-integral-float": ("measure", {"dims": [2.0], "amplitudes": [
+        [1.0, 0.0], [0.0, 0.0]]}),
+    "state-dims-a-bool": ("measure", {"dims": [True], "amplitudes": [[1.0, 0.0]]}),
+    "circuit-wires-fractional": ("circuit", {"wires": [2.5, 2], "ops": _bell_ops()}),
+    "circuit-wires-a-string": ("circuit", {"wires": "22", "ops": _bell_ops()}),
+    "gate-wires-a-float": ("circuit", {"wires": [2, 2], "ops": [
+        {"type": "gate", "name": "H", "wires": [0.0]}]}),
+    "measure-wire-a-bool": ("circuit", {"wires": [2, 2], "ops": _bell_ops() + [
+        {"type": "measure", "wire": True, "out": "m"}]}),
+    "discard-wire-a-float": ("circuit", {"wires": [2, 2], "ops": _bell_ops() + [
+        {"type": "discard", "wire": 1.0}]}),
+    "mux-control-a-float": ("circuit", {"wires": [2, 2], "ops": [_cnot_mux(0.0, [1])]}),
+    "mux-targets-a-bool": ("circuit", {"wires": [2, 2], "ops": [_cnot_mux(0, [True])]}),
+    "cond-when-a-float": ("circuit", {"wires": [2, 2], "ops": _bell_ops() + [
+        {"type": "measure", "wire": 0, "out": "m"},
+        {"type": "cond", "when": {"m": 1.0}, "gate": {"name": "X", "wires": [1]}}]}),
+    "term-sum-dims-fractional": ("hamiltonian trotter", {"dims": [2.7, 2], "terms": [
+        _z_term([0])]}),
+    "term-sites-a-float": ("hamiltonian trotter", {"dims": [2, 2], "terms": [
+        _z_term([0.0])]}),
 }
 
 
@@ -375,6 +418,33 @@ def test_grover_negative_iterations_exits_3(tmp_path):
     path = tmp_path / "config.json"
     write_json(path, {"iterations": -1})
     assert run(["algorithm", "grover", "--config", str(path)]) == 3
+
+
+def test_grover_ten_million_iterations_exits_4_at_once(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    write_json(path, {"iterations": 10 ** 7})
+    start = time.perf_counter()
+    assert run(["algorithm", "grover", "--config", str(path)]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeds its bound {cli.MAX_GROVER_ITERATIONS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, bound", [
+    ("algorithm grover", "iterations", cli.MAX_GROVER_ITERATIONS),
+    ("protocol chsh", "rounds", cli.MAX_CHSH_ROUNDS),
+])
+def test_loop_counts_past_their_bound_exit_4(tmp_path, command, key, bound):
+    path = tmp_path / "config.json"
+    for count in (bound + 1, 10 ** 30):
+        write_json(path, {key: count})
+        assert run(command.split() + ["--config", str(path)]) == 4
+
+
+def test_gap_grid_past_its_bound_exits_4(tmp_path):
+    # Checked when the flag is read: the endpoint file is never opened.
+    missing = tmp_path / "missing.json"
+    grid = str(cli.MAX_GAP_GRID + 1)
+    assert run(["hamiltonian", "gap", "--in", str(missing), "--grid", grid]) == 4
 
 
 def test_hamiltonian_history_negative_length_exits_2():

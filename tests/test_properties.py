@@ -1,6 +1,8 @@
 """Property tests: exact JSON round-trips, the report writer and absolute tolerance boundaries."""
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -200,8 +202,23 @@ ODD_PAIRS = st.lists(
                                  st.lists(NUMBERS, max_size=2)))
     .map(list), min_size=1, max_size=4)
 RAGGED = st.lists(st.lists(NUMBERS, max_size=3), min_size=1, max_size=4)
+
+
+def nan_with_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# A small pool, so values repeat within a table as amplitudes of measured
+# wires do: signed zeros, NaNs of three payloads and both signs, infinities
+# and the extreme magnitudes.
+FLOAT_POOL = [0.0, -0.0, 0.5, -0.5, 2 ** -0.5, -(2 ** -0.5), math.inf, -math.inf,
+              5e-324, 1e308, math.nan, nan_with_bits(0x7FF8000000000001),
+              nan_with_bits(0xFFF0000000000002)]
+FLOAT_TABLES = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from(FLOAT_POOL), min_size=width, max_size=width),
+    min_size=1, max_size=8))
 KEYS = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=6))
-LEAVES = st.one_of(SCALARS, PAIR_LISTS, NUMBER_TABLES, ODD_PAIRS, RAGGED,
+LEAVES = st.one_of(SCALARS, PAIR_LISTS, NUMBER_TABLES, FLOAT_TABLES, ODD_PAIRS, RAGGED,
                    st.just([]), st.just({}))
 DOCUMENTS = st.recursive(
     LEAVES,
@@ -221,6 +238,37 @@ DOCUMENTS = st.recursive(
 @example({"ints": {2: [[np.nan, np.inf]], 10: [[-np.inf, 5e-324]]}, "é": [[], {}]})
 def test_writer_matches_json_dumps(doc):
     assert qk._dumps_sorted(doc) == reference_dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FLOAT_TABLES, FLOAT_TABLES)
+@example([[0.0, -0.0, math.nan, nan_with_bits(0x7FF8000000000001)],
+          [math.inf, -math.inf, 5e-324, 1e308],
+          [-0.0, 0.0, nan_with_bits(0xFFF0000000000002), 5e-324]], [[-0.0]])
+def test_float_tables_match_json_dumps(a, b):
+    doc = {"table": a, "branches": [{"amplitudes": a}, {"amplitudes": b}], "pairs": [a, b]}
+    assert qk._dumps_sorted(doc) == reference_dumps(doc)
+
+
+def counting_float_token(monkeypatch):
+    calls = []
+    token = qk._float_token
+    monkeypatch.setattr(qk, "_float_token", lambda x: calls.append(x) or token(x))
+    return calls
+
+
+@pytest.mark.parametrize("table, distinct", [
+    ([[0.5, -0.0], [0.5, 0.0], [-0.0, 0.5]], 3),
+    # An int in the table, or ragged rows: the C encoder writes it, no float
+    # is formatted one by one.
+    ([[1, 0.5], [2.0, -0.0]], 0),
+    ([[1.0], [2.0, 3.0]], 0),
+])
+def test_writer_route_by_table_shape(monkeypatch, table, distinct):
+    calls = counting_float_token(monkeypatch)
+    doc = {"table": table}
+    assert qk._dumps_sorted(doc) == reference_dumps(doc)
+    assert len(calls) == distinct
 
 
 def test_writer_keeps_int_key_order():
@@ -277,6 +325,31 @@ def report_argv(case, tmp_path):
 def test_real_reports_match_json_dumps(monkeypatch, tmp_path, case):
     for text, doc in reports_of(monkeypatch, report_argv(case, tmp_path)):
         assert text == reference_dumps(doc) + "\n"
+
+
+def float_tables(v):
+    """The rectangular all-``float`` tables of a document."""
+    if type(v) is dict:
+        for x in v.values():
+            yield from float_tables(x)
+    elif type(v) is list and v:
+        if all(type(row) is list and row and len(row) == len(v[0])
+               and all(type(x) is float for x in row) for row in v):
+            yield v
+        else:
+            for x in v:
+                yield from float_tables(x)
+
+
+def test_writer_formats_each_distinct_float_once(monkeypatch, tmp_path):
+    [(text, doc)] = reports_of(monkeypatch, report_argv("circuit-12-wires", tmp_path))
+    calls = counting_float_token(monkeypatch)
+    assert qk._dumps_sorted(doc) + "\n" == text
+    tables = list(float_tables(doc))
+    distinct = sum(len({struct.pack("<d", x) for row in t for x in row}) for t in tables)
+    cells = sum(len(t) * len(t[0]) for t in tables)
+    assert len(calls) == distinct
+    assert 10 * distinct < cells
 
 
 # ---------------------------------------------------------------------------
