@@ -16,7 +16,8 @@ Contextual circuits follow the control/data sandwich: prepare the control,
 apply a multiplexer onto the data, rotate the control, measure it in the
 computational basis, apply outcome-conditioned data corrections, and discard
 the control.  Deterministic instances (gate teleportation, magic injection,
-linear-combination circuits with correctable failure branches) are built here
+linear-combination circuits with correctable failure branches, and the
+adaptive cluster-row measurement pattern :func:`mbqc_pattern`) are built here
 and verified by :func:`is_deterministic`.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import qkernel as qk
 from .interference import Multiplexer
-from .protocols import PauliKey, pauli_pad
+from .protocols import PauliKey, angle_basis, pauli_pad
 from .qkernel import (CapExceededError, HilbertSpec, InvariantError, QuantumChannel,
                       StateVector)
 
@@ -486,6 +487,37 @@ def t_injection() -> Circuit:
         Cond({"s": 1}, Gate(correction, (1,), name="SdgX")),
         Discard(0),
     ))
+
+
+def mbqc_pattern(angles, adaptive: bool = True) -> Circuit:
+    """A 1D cluster-row pattern for the product of J(theta) = H diag(1, e^{i theta}).
+
+    Wire 0 holds the input and wires 1..n start in |0>.  Step k prepares wire
+    k+1 in |+>, couples it to wire k by CZ and measures wire k in
+    ``angle_basis(-theta_k)`` (outcome ``s{k}``), which leaves
+    X^{s_k} J(theta_k) on wire k+1.  Adaptive, that X is undone at once, so
+    no angle has to adapt and wire n holds the target on every branch.
+    Without adaptivity every angle stays -theta and the byproducts are undone
+    only on wire n after the last measurement, as the Pauli frame
+    ``x, z = s_k ^ z, x`` leaves them: outcome k in X when n-1-k is even, in Z
+    when it is odd.  That frame is right for Pauli angles only, so the
+    branches of other angles disagree.
+    """
+    angles = [float(th) for th in angles]
+    n = len(angles)
+    ins: list[Instruction] = []
+    for k, th in enumerate(angles):
+        ins += [Gate(qk.H, (k + 1,), name="H"),
+                Gate(qk.CZ, (k, k + 1), name="CZ"),
+                Measure(k, angle_basis(-th), f"s{k}")]
+        if adaptive:
+            ins.append(Cond({f"s{k}": 1}, Gate(qk.X, (k + 1,), name="X")))
+        ins.append(Discard(k))
+    if not adaptive:
+        ins += [Cond({f"s{k}": 1}, Gate(qk.GATES[name], (n,), name=name))
+                for parity, name in ((0, "X"), (1, "Z"))
+                for k in range(n) if (n - 1 - k) % 2 == parity]
+    return Circuit(HilbertSpec((2,) * (n + 1)), tuple(ins))
 
 
 def encrypted_t_injection(key: tuple[int, int]) -> Circuit:

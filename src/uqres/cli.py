@@ -17,10 +17,12 @@ encoder's.  Other number tables go to the C encoder whole.
 
 Every integer field of an input document or config is read by one rule
 (``qkernel._json_int``): a bool, a float or a string is a parse error, never
-truncated.  Loop counts have fixed bounds (``MAX_CHSH_ROUNDS``,
-``MAX_GROVER_ITERATIONS``, ``MAX_GAP_GRID``).  Exit codes: 0 success, 2 parse
-error, 3 invariant/constraint violation, 4 resource/dimension cap or loop
-bound exceeded.
+truncated; every real scalar (``qkernel._json_float``) takes a JSON number
+only, so a bool or a string is a parse error too.  ``--cap`` bounds raw
+matrices as well as states, circuits and term sums.  Loop counts have fixed
+bounds (``MAX_CHSH_ROUNDS``, ``MAX_GROVER_ITERATIONS``, ``MAX_GAP_GRID``).
+Exit codes: 0 success, 2 parse error, 3 invariant/constraint violation, 4
+resource/dimension cap or loop bound exceeded.
 """
 
 from __future__ import annotations
@@ -83,8 +85,12 @@ def density_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> qk.DensityOpe
     return qk.DensityOperator(*_decode_state(doc, "matrix", 2, cap))
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    return qk._decode_complex(rows, 2, "matrix")
+def matrix_from_json(rows, cap: int = qk.DEFAULT_DIM_CAP) -> np.ndarray:
+    """A raw complex matrix; one with more than ``cap`` rows or columns exits 4."""
+    m = qk._decode_complex(rows, 2, "matrix")
+    if max(m.shape) > cap:
+        raise CapExceededError(f"matrix dimension {max(m.shape)} exceeds cap {cap}")
+    return m
 
 
 def _int_key(config: dict, name: str, default=None, count: int | None = None):
@@ -252,7 +258,10 @@ def cmd_protocol(args) -> int:
                                           _int_key(config["resources"], "pr_boxes"))
                          if "resources" in config else None)
         elif name == "mbqc":
-            angles = [float(a) for a in config.get("angles", [0.0])]
+            angles = config.get("angles", [0.0])
+            if type(angles) is not list:
+                raise ParseFailure(f"angles must be a list of JSON numbers, got {angles!r}")
+            angles = [qk._json_float(a, "each angle") for a in angles]
             adaptive = config.get("adaptive", True)
             if not isinstance(adaptive, bool):
                 raise ParseFailure(f"adaptive must be a JSON bool, got {adaptive!r}")
@@ -307,11 +316,13 @@ def cmd_hamiltonian(args) -> int:
         doc = _load_json(_one_input(args))
         with qk._parsing("hamiltonian document"):
             h = (ham.termsum_from_json(doc, cap=args.cap) if "terms" in doc
-                 else matrix_from_json(doc["matrix"]))
+                 else matrix_from_json(doc["matrix"], cap=args.cap))
         results = {"stoquastic": ham.is_stoquastic(h)}
     elif action == "trotter":
-        terms = ham.termsum_from_json(_load_json(_one_input(args)), cap=args.cap)
         t, steps = float(args.time), int(args.steps)
+        if not np.isfinite(t):
+            raise InvariantError(f"--time must be finite, got {args.time!r}")
+        terms = ham.termsum_from_json(_load_json(_one_input(args)), cap=args.cap)
         exact = ham.exact_evolve(terms, t)
         results = {"time": t, "steps": steps,
                    "error": ham.trotter_error(terms, t, steps, exact),
@@ -337,8 +348,8 @@ def cmd_hamiltonian(args) -> int:
         grid = _bounded(args.grid, MAX_GAP_GRID, "--grid")
         doc = _load_json(_one_input(args))
         with qk._parsing("gap document"):
-            h0 = matrix_from_json(doc["h_start"])
-            h1 = matrix_from_json(doc["h_end"])
+            h0 = matrix_from_json(doc["h_start"], cap=args.cap)
+            h1 = matrix_from_json(doc["h_end"], cap=args.cap)
         scan = ham.adiabatic_gap_scan(h0, h1, grid)
         s_min, g_min = ham.min_gap(scan)
         if args.out:
@@ -361,13 +372,13 @@ def cmd_algorithm(args) -> int:
     with qk._parsing("algorithm config"):
         if name == "one-control":
             n = _int_key(config, "qubits", 2)
-            eps = float(config.get("epsilon", 0.01))
-            u = matrix_from_json(config["u"]) if "u" in config else None
+            eps = qk._json_float(config.get("epsilon", 0.01), "key 'epsilon'")
+            u = matrix_from_json(config["u"], cap=args.cap) if "u" in config else None
             qk.HilbertSpec((2, 2 ** n if u is None else len(u)), cap=args.cap)
         elif name == "lcu":
             coeffs = qk._decode_complex(config.get(
                 "coeffs", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]]), 1, "lcu coefficients")
-            us = ([matrix_from_json(m) for m in config["unitaries"]]
+            us = ([matrix_from_json(m, cap=args.cap) for m in config["unitaries"]]
                   if "unitaries" in config else [qk.X, qk.Z])
             psi = (vector_from_json(config["state"], cap=args.cap) if "state" in config
                    else qk.zero_state((us[0].shape[0],)))

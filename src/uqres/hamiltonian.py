@@ -41,6 +41,8 @@ class HamiltonianTerm:
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         qk._require_hermitian(m, qk.ATOL, "term matrix must be Hermitian within 1e-10")
+        if not np.isfinite(self.weight):
+            raise InvariantError(f"term weight must be finite, got {self.weight!r}")
         if len(set(self.support)) != len(self.support):
             raise InvariantError("term support has repeated sites")
 
@@ -338,6 +340,6 @@ def termsum_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> TermSum:
         dims = qk._json_ints(doc["dims"], "term-sum dims")
         terms = tuple(HamiltonianTerm(qk._json_ints(t["sites"], "term sites"),
                                       qk._decode_complex(t["matrix"], 2, "term matrix"),
-                                      float(t["j"]))
+                                      qk._json_float(t["j"], "term weight j"))
                       for t in doc["terms"])
     return TermSum(HilbertSpec(dims, cap=cap), terms)

@@ -23,10 +23,14 @@ same either way.  The run hands ``source.resume`` a builder of its root state
 (``fresh``), which is called only when the run starts from the root, so a
 resumed run never builds (or checks) a root state it would throw away.  Only
 the first protocol of a run that asks to resume is resumed or checkpointed;
-``btt`` and ``mbqc_gate`` replay from the root.  An observer (a privacy
-check, say) is an ``OutcomeSource`` that overrides ``checkpoint`` and keeps
-the default ``resume``: it never resumes, so it sees every stage of every
-leaf.
+``btt`` replays from the root.  An observer (a privacy check, say) is an
+``OutcomeSource`` that overrides ``checkpoint`` and keeps the default
+``resume``: it never resumes, so it sees every stage of every leaf.
+
+The plain MBQC row (``mbqc_gate``) uses no register and no outcome source:
+it is the circuit ``circuits.mbqc_pattern``, run on the circuit walker, which
+splits each branch once.  So ``enumerate_runs`` serves ``btt`` and
+``pmqc_run`` only.
 
 One nonlocal T gadget (a T gate made nonlocal by one ebit and one PR box,
 ``_t_link``) serves both: PMQC spends one per T gate, and ``btt`` is the
@@ -730,10 +734,14 @@ class MBQCBranch:
 def mbqc_gate(angles, psi: StateVector, adaptive: bool = True) -> list[MBQCBranch]:
     """Measure a 1D cluster row site by site; returns all branches with corrections.
 
-    With adaptive angle signs (flip when the running X-frame bit is set) every
-    corrected branch equals the target gate on |psi>; without adaptivity the
-    branches disagree for non-Pauli angles.
+    The row is the circuit ``circuits.mbqc_pattern(angles, adaptive)``, run by
+    the circuit walker on psi (x) |0...0>; a branch's outcomes are its
+    ``s0, s1, ...`` in order.  Adaptive, every byproduct is corrected as it
+    arises and every branch equals the target gate on |psi>; without
+    adaptivity the Pauli frame is applied only at the end and the branches
+    disagree for non-Pauli angles.
     """
+    from .circuits import mbqc_pattern, simulate   # circuits imports this module
     angles = list(angles)
     if len(angles) + 1 > 6:
         raise InvariantError("cluster row limited to 6 qubits")
@@ -741,29 +749,13 @@ def mbqc_gate(angles, psi: StateVector, adaptive: bool = True) -> list[MBQCBranc
         raise InvariantError("mbqc_gate teleports a single qubit")
     if not np.isfinite(angles).all():
         raise InvariantError(f"mbqc angles must be finite, got {angles}")
-
-    def run(source: OutcomeSource):
-        reg = Register()
-        reg.add_qubit("c0", "A", psi.amplitudes)
-        x = z = 0
-        outs = []
-        cur = "c0"
-        for k, th in enumerate(angles):
-            nxt = f"c{k + 1}"
-            reg.add_qubit(nxt, "A", np.array([1, 1]) / math.sqrt(2))
-            reg.apply(qk.CZ, [cur, nxt])
-            meas_angle = -th * (-1) ** x if adaptive else -th
-            s = reg.measure(cur, angle_basis(meas_angle), source, f"s{k}")
-            outs.append(s)
-            x, z = s ^ z, x
-            cur = nxt
-        state = reg.extract([cur])
-        pad = pauli_pad(PauliKey(x, z))
-        corrected = qk.apply_unitary(state, pad.conj().T)
-        return tuple(outs), corrected
-
-    return [MBQCBranch(outs, prob, corr)
-            for prob, (outs, corr) in enumerate_runs(run)]
+    pattern = mbqc_pattern(angles, adaptive)
+    row = np.zeros(2 ** len(angles), dtype=complex)
+    row[0] = 1
+    start = StateVector(pattern.wires, np.kron(psi.amplitudes, row))
+    return [MBQCBranch(tuple(b.outcomes[f"s{k}"] for k in range(len(angles))),
+                       b.probability, b.state)
+            for b in simulate(pattern, start)]
 
 
 # ---------------------------------------------------------------------------

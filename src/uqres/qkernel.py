@@ -693,6 +693,23 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_float(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; else :class:`ParseFailure`.
+
+    The one rule for every real scalar of an input document (an MBQC angle,
+    an epsilon, a term weight): ``true`` and ``"0.3"`` are parse errors,
+    never read as 1 or parsed from the text, and so is an integer too large
+    for a float.  NaN and the infinities are numbers here; the checks of the
+    value's domain reject them (exit 3).
+    """
+    if type(value) not in (int, float):
+        raise ParseFailure(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseFailure(f"{what} {_int_text(value)} is too large for a float") from None
+
+
 def _json_ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
     """A list of JSON integers (of ``count`` of them, if given) as a tuple."""
     if type(values) is not list or count not in (None, len(values)):

@@ -5,6 +5,7 @@ import pytest
 
 from uqres import circuits as qc
 from uqres import interference as itf
+from uqres import protocols as pr
 from uqres import qkernel as qk
 from uqres.circuits import Circuit, Cond, Discard, Gate, Measure, Mux
 from uqres.qkernel import CapExceededError, HilbertSpec, InvariantError
@@ -106,6 +107,44 @@ def test_branch_averaged_channels_match_gates():
     assert choi_fidelity(h_chan, qk.gate("H")) >= 1 - 1e-9
     t_chan = qc.induced_channel(qc.t_injection(), [0], fixed={1: 0})
     assert choi_fidelity(t_chan, qk.gate("T")) >= 1 - 1e-9
+
+
+# The cluster-row pattern is a Circuit, so every circuit tool reads it -------
+
+MBQC_ANGLES = [[0.3], [0.3, 1.1], [2.0, 0.7, 5.1], [1.3, 4.4, 0.2, 3.3, 6.0]]
+
+
+def with_row(psi, n):
+    return qk.tensor(psi, qk.zero_state((2,) * n))
+
+
+@pytest.mark.parametrize("angles", MBQC_ANGLES)
+def test_mbqc_pattern_channel_is_its_target_gate(angles):
+    chan = qc.induced_channel(qc.mbqc_pattern(angles), [0])
+    assert len(chan.kraus) == 2 ** len(angles)
+    got = itf.choi_state(chan).state.matrix
+    want = itf.choi_state(pr.mbqc_target(angles)).state.matrix
+    assert np.abs(got - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("angles", MBQC_ANGLES)
+def test_adaptive_mbqc_pattern_is_deterministic(angles):
+    rng = np.random.default_rng(len(angles))
+    inputs = [with_row(qk.random_state((2,), rng), len(angles)) for _ in range(5)]
+    ok, worst = qc.is_deterministic(qc.mbqc_pattern(angles), inputs)
+    assert ok and worst < 1e-12
+
+
+def test_non_adaptive_mbqc_pattern_is_not_deterministic():
+    angles = [np.pi / 4, np.pi / 4]
+    rng = np.random.default_rng(8)
+    inputs = [with_row(qk.random_state((2,), rng), 2) for _ in range(5)]
+    ok, worst = qc.is_deterministic(qc.mbqc_pattern(angles, adaptive=False), inputs)
+    assert not ok and worst > 0.1
+
+
+def test_mbqc_pattern_is_not_a_free_circuit():
+    assert not qc.free_circuit_check(qc.mbqc_pattern([0.3]))
 
 
 def test_encrypted_t_injection_all_keys():

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqres import cli
@@ -344,6 +344,11 @@ MALFORMED = {
         _z_term([0])]}),
     "term-sites-a-float": ("hamiltonian trotter", {"dims": [2, 2], "terms": [
         _z_term([0.0])]}),
+    # Real fields take JSON numbers only: a bool is not 1, a string is not parsed.
+    "term-weight-a-bool": ("hamiltonian trotter", {"dims": [2], "terms": [
+        {**_z_term([0]), "j": True}]}),
+    "term-weight-a-string": ("hamiltonian trotter", {"dims": [2], "terms": [
+        {**_z_term([0]), "j": "0.5"}]}),
 }
 
 
@@ -447,6 +452,23 @@ def test_gap_grid_past_its_bound_exits_4(tmp_path):
     assert run(["hamiltonian", "gap", "--in", str(missing), "--grid", grid]) == 4
 
 
+def _matrix(d):
+    return [[[float(i == j), 0.0] for j in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("hamiltonian stoquastic --in", {"matrix": _matrix(3)}),
+    ("hamiltonian gap --in", {"h_start": _matrix(3), "h_end": _matrix(3)}),
+    ("algorithm lcu --config", {"coeffs": [[1.0, 0.0]], "unitaries": [_matrix(3)]}),
+    ("algorithm one-control --config", {"u": _matrix(3)}),
+], ids=["stoquastic", "gap", "lcu", "one-control"])
+def test_raw_matrix_over_the_cap_flag_exits_4(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    assert run(command.split() + [str(path), "--cap", "2"]) == 4
+    assert "exceeds cap 2" in capsys.readouterr().err
+
+
 def test_hamiltonian_history_negative_length_exits_2():
     assert run(["hamiltonian", "history", "--length", "-1"]) == 2
 
@@ -456,6 +478,18 @@ def test_hamiltonian_history_empty_circuit(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["L"] == 0
     assert doc["results"]["clock_probabilities"] == [1.0]
+
+
+# Non-finite Trotter inputs are invariant violations --------------------------
+
+@pytest.mark.parametrize("weight, time", [
+    (math.nan, "1.0"), (math.inf, "1.0"), (1.0, "nan"), (1.0, "inf"), (1.0, "-inf"),
+])
+def test_hamiltonian_trotter_non_finite_input_exits_3(tmp_path, capsys, weight, time):
+    path = tmp_path / "terms.json"
+    write_json(path, {"dims": [2], "terms": [{**_z_term([0]), "j": weight}]})
+    assert run(["hamiltonian", "trotter", "--in", str(path), f"--time={time}"]) == 3
+    assert "must be finite" in capsys.readouterr().err
 
 
 # Failed verdicts exit 3 -------------------------------------------------------
@@ -504,6 +538,12 @@ BAD_CONFIGS = {
         "programs": [["T"]], "resources": {"ebits": 1.5, "pr_boxes": 1}}),
     "pmqc-resources-a-bool": ("protocol pmqc", {
         "programs": [["T"]], "resources": {"ebits": 1, "pr_boxes": True}}),
+    # Real keys take JSON numbers only: a bool is not 1, a string is not parsed.
+    "mbqc-angle-a-bool": ("protocol mbqc", {"angles": [True]}),
+    "mbqc-angle-a-string": ("protocol mbqc", {"angles": ["0.3"]}),
+    "mbqc-angles-an-empty-string": ("protocol mbqc", {"angles": ""}),
+    "one-control-epsilon-a-string": ("algorithm one-control", {"epsilon": "0.5"}),
+    "one-control-epsilon-a-bool": ("algorithm one-control", {"epsilon": True}),
 }
 
 
@@ -586,3 +626,53 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, case):
     code = run(command.split() + ["--config", str(folder / "fuzz_config.json"),
                                   "--cap", "64", "--out", str(folder / "fuzz_report.json")])
     assert code in (0, 2, 3, 4), (command, doc)
+
+
+# Fuzzed input documents exit cleanly -----------------------------------------
+
+TERM_SUM_DOC = {"dims": [2, 2], "terms": [_z_term([0]), {**_z_term([1]), "j": 0.5}]}
+MATRIX_DOC = {"matrix": [[[0.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0], [0.5, 0.0]]]}
+INPUT_DOCUMENTS = [("hamiltonian trotter", TERM_SUM_DOC),
+                   ("hamiltonian stoquastic", TERM_SUM_DOC),
+                   ("hamiltonian stoquastic", MATRIX_DOC)]
+
+
+def _paths(doc, prefix=()):
+    """The path to every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _swapped(doc, path, value):
+    """A deep copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "0.5", "",
+                              10 ** 400, 2 ** 64, [[1.0, 0.0]], [[[[]]]]])
+SWAPS = st.sampled_from(INPUT_DOCUMENTS).flatmap(lambda case: st.tuples(
+    st.just(case), st.sampled_from(list(_paths(case[1]))), ODD_VALUES))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(SWAPS)
+@example((INPUT_DOCUMENTS[0], ("terms", 0, "j"), math.nan))
+def test_fuzzed_input_documents_exit_cleanly(tmp_path_factory, swap):
+    # One value of a valid term sum or raw matrix swapped for NaN, an
+    # infinity, a bool, a string, a huge integer or a nested list: the run
+    # succeeds, fails an invariant, hits the cap or is malformed; nothing escapes.
+    (command, doc), path, value = swap
+    folder = tmp_path_factory.getbasetemp()
+    write_json(folder / "fuzz_doc.json", _swapped(doc, path, value))
+    code = run(command.split() + ["--in", str(folder / "fuzz_doc.json"), "--cap", "64",
+                                  "--out", str(folder / "fuzz_report.json")])
+    assert code in (0, 2, 3, 4), (command, path, value)

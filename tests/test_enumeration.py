@@ -5,6 +5,9 @@ from its last stage boundary before the fork; the oracle in
 ``replay_oracle.py`` replays from the root and throws a partial run away at
 every fork.  Both must give the same leaves in the same order, bit for bit:
 probabilities, outputs, keys and transcripts.
+
+The MBQC row runs on the circuit walker instead; its branches are matched by
+outcome tuple against the register route kept in ``mbqc_oracle.py``.
 """
 
 import dataclasses
@@ -18,6 +21,7 @@ from uqres import qkernel as qk
 from uqres.circuits import Circuit, Measure
 from uqres.qkernel import HilbertSpec
 
+import mbqc_oracle
 import replay_oracle
 from recording import Recorder
 
@@ -208,12 +212,32 @@ def test_btt_leaves_match_the_oracle(enumerations, a, b):
     assert_same_as_oracle(enumerations)
 
 
-@pytest.mark.parametrize("adaptive", [True, False])
-def test_mbqc_leaves_match_the_oracle(enumerations, adaptive):
-    rng = np.random.default_rng(40 + adaptive)
+@pytest.mark.parametrize("adaptive, n", [(a, n) for a in (True, False) for n in range(1, 6)])
+def test_mbqc_branches_match_the_register_oracle(adaptive, n):
+    # The walker yields branches lowest outcome first and the register route
+    # highest first, so they are matched by outcome tuple, not by position.
+    rng = np.random.default_rng(40 + 10 * adaptive + n)
     psi = qk.random_state((2,), rng)
-    pr.mbqc_gate(rng.uniform(0, 2 * np.pi, size=5), psi, adaptive=adaptive)
-    assert_same_as_oracle(enumerations)
+    angles = rng.uniform(0, 2 * np.pi, size=n)
+    got = {b.outcomes: b for b in pr.mbqc_gate(angles, psi, adaptive=adaptive)}
+    want = {b.outcomes: b for b in mbqc_oracle.mbqc_gate(angles, psi, adaptive=adaptive)}
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        g = got[key]
+        assert abs(g.probability - w.probability) <= 1e-14, key
+        fid = abs(np.vdot(g.corrected.amplitudes, w.corrected.amplitudes)) ** 2
+        assert 1 - fid <= 1e-14, key
+
+
+def test_mbqc_uses_no_register_and_no_replay(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("mbqc_gate ran the register route")
+
+    monkeypatch.setattr(pr, "Register", banned)
+    monkeypatch.setattr(pr, "enumerate_runs", banned)
+    branches = pr.mbqc_gate([0.3, 1.1, 2.0], qk.plus_state(2))
+    assert sorted(b.outcomes for b in branches) == [
+        (i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
 
 
 @pytest.mark.parametrize("protocol, leaves", [

@@ -72,6 +72,12 @@ def test_term_validation():
         TermSum(spec, (HamiltonianTerm((0,), np.kron(qk.Z, qk.Z)),))
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_term_weight_must_be_finite(weight):
+    with pytest.raises(InvariantError, match="term weight must be finite"):
+        HamiltonianTerm((0,), qk.Z, weight)
+
+
 def test_trotter_exact_for_commuting_terms():
     spec = HilbertSpec((2, 2))
     terms = TermSum(spec, (HamiltonianTerm((0,), qk.Z, 0.7),
