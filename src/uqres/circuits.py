@@ -608,6 +608,8 @@ def circuit_from_json(doc: dict, cap: int = qk.DEFAULT_DIM_CAP) -> Circuit:
                 basis = op.get("basis", "Z")
                 if not isinstance(basis, str):
                     basis = dec(basis, 2, "measurement basis")
+                if type(op["out"]) is not str:
+                    raise qk.ParseFailure(f"measure out must be a JSON string, got {op['out']!r}")
                 ins.append(Measure(qk._json_int(op["wire"], "measured wire"), basis, op["out"]))
             elif kind == "cond":
                 ins.append(Cond({k: qk._json_int(v, f"cond outcome {k!r}")

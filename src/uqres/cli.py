@@ -7,20 +7,23 @@ Reports are JSON embedding the toolkit version, seed and the invariant
 tolerance (``qkernel.ATOL``), so identical configurations produce
 byte-identical files.  A report is sorted-key, two-space-indent JSON: its
 bytes are exactly ``json.dumps(doc, sort_keys=True, indent=2)`` plus one
-newline, written by ``qkernel._dumps_sorted``.  A rectangular table of floats
-(the ``[re, im]`` pairs of a branch state, whose measured wires repeat a few
-amplitudes many times) is written by formatting each distinct float bit
-pattern once, as the C encoder formats it (``NaN``, ``Infinity``,
-``-Infinity``, else ``float.__repr__``), and copying that text to every cell
-with the same bits; equal bits give equal text, so the bytes are the C
-encoder's.  Other number tables go to the C encoder whole.
+newline, with each numpy array in ``doc`` read as its ``tolist()``, written
+by ``qkernel._dumps_sorted``.  Every number table of a report (the
+``[re, im]`` rows of a branch state, a Wigner table, a gap scan, the walk
+Hamiltonian of ``make-goldens``) reaches the writer as a 2-D float64 array,
+and only such arrays take the distinct-bits route: each distinct float bit
+pattern is formatted once, as the C encoder formats it (``NaN``,
+``Infinity``, ``-Infinity``, else ``float.__repr__``), and that text is
+copied to every cell with the same bits; equal bits give equal text, so the
+bytes are the C encoder's.  Lists are written number by number.
 
 Every integer field of an input document or config is read by one rule
 (``qkernel._json_int``): a bool, a float or a string is a parse error, never
 truncated; every real scalar (``qkernel._json_float``) takes a JSON number
 only, so a bool or a string is a parse error too.  ``--cap`` bounds raw
 matrices as well as states, circuits and term sums.  Loop counts have fixed
-bounds (``MAX_CHSH_ROUNDS``, ``MAX_GROVER_ITERATIONS``, ``MAX_GAP_GRID``).
+bounds (``MAX_CHSH_ROUNDS``, ``MAX_GROVER_ITERATIONS``, ``MAX_GAP_GRID``), and
+the work of a gap scan, grid points times d³, is bounded by ``MAX_GAP_WORK``.
 Exit codes: 0 success, 2 parse error, 3 invariant/constraint violation, 4
 resource/dimension cap or loop bound exceeded.
 """
@@ -57,6 +60,10 @@ EXIT_CAP = 4
 MAX_CHSH_ROUNDS = 100_000
 MAX_GROVER_ITERATIONS = 1_000
 MAX_GAP_GRID = 10_001
+# A gap scan runs one eigvalsh of a d x d matrix per grid point, so its work
+# is bounded as grid * d**3: 2**32 is about two seconds on one core (four
+# points at d = 1024), and `--grid 10001` fits up to d = 75.
+MAX_GAP_WORK = 2 ** 32
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +213,7 @@ def cmd_wigner(args) -> int:
     d = rho.spec.total_dim
     table = wg.wigner_function(rho, d)
     results = {"d": d,
-               "table": [[float(v) for v in row] for row in table.values],
+               "table": table.values,
                "sum_negativity": wg.sum_negativity(table),
                "mana": wg.mana(table)}
     _emit(args, _report(args, results))
@@ -223,8 +230,12 @@ def cmd_circuit(args) -> int:
     branches = qc.simulate(circuit, state)
     results = {
         "free_circuit": qc.free_circuit_check(circuit),
+        # Each state's [re, im] rows stay a float64 array, which the writer
+        # formats from its bits into the same text as vector_to_json's lists.
         "branches": [{"outcomes": b.outcomes, "probability": b.probability,
-                      "state": vector_to_json(b.state)} for b in branches],
+                      "state": {"dims": list(b.state.spec.dims),
+                                "amplitudes": qk._complex_pairs(b.state.amplitudes)}}
+                     for b in branches],
         "branch_probability_sum": float(sum(b.probability for b in branches)),
     }
     _emit(args, _report(args, results))
@@ -350,13 +361,15 @@ def cmd_hamiltonian(args) -> int:
         with qk._parsing("gap document"):
             h0 = matrix_from_json(doc["h_start"], cap=args.cap)
             h1 = matrix_from_json(doc["h_end"], cap=args.cap)
+        d = max(h0.shape + h1.shape)
+        _bounded(grid * d ** 3, MAX_GAP_WORK, "gap-scan work --grid * d^3")
         scan = ham.adiabatic_gap_scan(h0, h1, grid)
         s_min, g_min = ham.min_gap(scan)
         if args.out:
             _write_gap_csv(args.out, scan)
             sys.stdout.write(json.dumps({"min_gap": g_min, "at": s_min}) + "\n")
             return EXIT_OK
-        results = {"scan": [[s, g] for s, g in scan], "min_gap": g_min, "at": s_min}
+        results = {"scan": np.array(scan, dtype=np.float64), "min_gap": g_min, "at": s_min}
     else:
         raise ParseFailure(f"unknown hamiltonian action {action!r}")
     _emit(args, _report(args, results))
@@ -448,7 +461,7 @@ def cmd_make_goldens(args) -> int:
         "interference_relative_entropy": interference_table,
         "one_control_qubit": one_control_table,
         "qutrit_stabilizer_mana": mana_table,
-        "walk_hamiltonian_L3": [[float(x.real) for x in row] for row in hw],
+        "walk_hamiltonian_L3": np.ascontiguousarray(hw.real),
         "walk_gap_L3": 1.0 - float(np.cos(np.pi / 4)),
         "unit_norm_z_to_x_min_gap": {"gap": g_min, "at": s_min},
         "chsh_win_rate": pr.chsh_game(),

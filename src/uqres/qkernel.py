@@ -55,7 +55,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -718,25 +717,15 @@ def _json_ints(values, what: str, count: int | None = None) -> tuple[int, ...]:
     return tuple(_json_int(v, f"each entry of {what}") for v in values)
 
 
+def _complex_pairs(a) -> np.ndarray:
+    """A complex array of any rank as float64 ``[re, im]`` pairs on a new last axis."""
+    a = np.asarray(a, dtype=complex)
+    return np.ascontiguousarray(a).reshape(-1).view(np.float64).reshape(a.shape + (2,))
+
+
 def _encode_complex(a) -> list:
     """Nested ``[re, im]`` lists for a complex array of any rank."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
-
-
-_NUMBER_TYPES = frozenset((float, int))
-
-
-def _table_cell_types(v: list):
-    """The set of cell types if ``v`` is a number table, else ``None``.
-
-    A number table is a non-empty list of non-empty lists of exact
-    ``float``/``int`` (no bools).  The cells are scanned once, at C level.
-    """
-    if not v or set(map(type, v)) != {list} or not all(v):
-        return None
-    types = set(map(type, chain.from_iterable(v)))
-    return types if _NUMBER_TYPES.issuperset(types) else None
+    return _complex_pairs(a).tolist()
 
 
 def _float_token(x: float) -> str:
@@ -750,44 +739,42 @@ def _float_token(x: float) -> str:
     return float.__repr__(x)
 
 
-def _float_grid_text(v: list, inner: str) -> str:
-    """The body of a rectangular all-``float`` table: each distinct float formatted once.
+def _float_grid_text(a: np.ndarray, indent: str) -> str:
+    """A non-empty 2-D float64 table, laid out at ``indent``: each distinct float formatted once.
 
     Equal bit patterns give equal text, so :func:`_float_token` runs once per
     distinct ``uint64`` pattern and the texts are gathered back through the
     inverse of ``np.unique``, between the layout's cell and row separators.
     ``-0.0`` and ``0.0``, and NaNs of different payloads, stay apart.
     """
-    cell = inner + "  "
-    rows, width = len(v), len(v[0])
-    values = np.fromiter(chain.from_iterable(v), np.float64, rows * width)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    inner, cell = indent + "  ", indent + "    "
+    rows, width = a.shape
+    bits, inverse = np.unique(np.ascontiguousarray(a).view(np.uint64), return_inverse=True)
     texts = np.array(list(map(_float_token, bits.view(np.float64).tolist())), dtype=object)
     out = np.empty((rows, 2 * width), dtype=object)
     out[:, 0::2] = texts[inverse.reshape(rows, width)]
     out[:, 1::2] = ",\n" + cell
     out[:, -1] = f"\n{inner}],\n{inner}[\n{cell}"
-    out[-1, -1] = ""
+    out[0, 0] = f"[\n{inner}[\n{cell}{out[0, 0]}"
+    out[-1, -1] = f"\n{inner}]\n{indent}]"
     return "".join(out.ravel().tolist())
 
 
 def _dumps_sorted(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte, in a fraction of the time.
+    """``json.dumps(doc, sort_keys=True, indent=2, default=np.ndarray.tolist)``, byte for byte.
 
     With ``indent`` set, ``json`` drops its C encoder for the pure-Python one.
-    Here dicts with ``str`` keys and lists are walked in Python, and a number
-    table (such as a list of ``[re, im]`` pairs) is written in one piece:
-
-      - a rectangular table of exact ``float`` cells formats each distinct
-        bit pattern once, as the C encoder does (``NaN``, ``Infinity``,
-        ``-Infinity``, else ``float.__repr__``), and gathers the texts back
-        with the layout's separators.  Measured wires sit in basis states, so
-        a branch report holds a few amplitudes many times over; equal bits
-        always give equal text, so the bytes are the C encoder's.
-      - any other number table (one holding an ``int``, or ragged) is encoded
-        compactly by the C encoder, its layout put in by two ``str.replace``
-        calls: no number, ``NaN`` or ``Infinity`` token contains ``[``, ``]``
-        or ``", "``.
+    Here dicts with ``str`` keys and lists are walked in Python, and every
+    ``ndarray`` is read as its ``tolist()``.  Only a non-empty 2-D float64
+    array (a report's number table, such as the ``[re, im]`` pairs of a
+    branch state) is written in one piece: each distinct bit pattern is
+    formatted once, as the C encoder does (``NaN``, ``Infinity``,
+    ``-Infinity``, else ``float.__repr__``), and the texts are gathered back
+    with the layout's separators.  Measured wires sit in basis states, so a
+    branch report holds a few amplitudes many times over; equal bits always
+    give equal text, so the bytes are the C encoder's.  Any other array goes
+    through ``tolist()``, or raises for a dtype ``json`` cannot write; the
+    text is joined only at the end, so a table is never written half-right.
 
     Everything else goes to ``json.dumps`` itself.  That includes a dict with
     a non-``str`` key, because ``json`` sorts those before turning them into
@@ -808,27 +795,21 @@ def _write_sorted(v, indent: str, put) -> None:
             sep = ",\n"
         put(f"\n{indent}}}")
     elif type(v) is list and v:
-        types = _table_cell_types(v)
-        if types is not None:
-            cell = inner + "  "
-            put(f"[\n{inner}[\n{cell}")
-            if types == {float} and len(set(map(len, v))) == 1:
-                put(_float_grid_text(v, inner))
-            else:
-                put(json.dumps(v)[2:-2]
-                    .replace("], [", f"\n{inner}],\n{inner}[\n{cell}")
-                    .replace(", ", ",\n" + cell))
-            put(f"\n{inner}]\n{indent}]")
+        sep = "[\n"
+        for x in v:
+            put(sep + inner)
+            _write_sorted(x, inner, put)
+            sep = ",\n"
+        put(f"\n{indent}]")
+    elif isinstance(v, np.ndarray):
+        if v.dtype == np.float64 and v.ndim == 2 and v.size:
+            put(_float_grid_text(v, indent))
         else:
-            sep = "[\n"
-            for x in v:
-                put(sep + inner)
-                _write_sorted(x, inner, put)
-                sep = ",\n"
-            put(f"\n{indent}]")
+            _write_sorted(v.tolist(), indent, put)
     elif isinstance(v, (dict, list, tuple)):
         # Its output has no newline but the layout's own, so it re-indents safely.
-        put(json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + indent))
+        put(json.dumps(v, sort_keys=True, indent=2, default=np.ndarray.tolist)
+            .replace("\n", "\n" + indent))
     else:
         put(json.dumps(v))
 

@@ -456,6 +456,23 @@ def _matrix(d):
     return [[[float(i == j), 0.0] for j in range(d)] for i in range(d)]
 
 
+@pytest.mark.parametrize("grid, code", [(2048, 0), (2049, 4)])
+def test_gap_scan_work_past_its_bound_exits_4_before_any_eigvalsh(tmp_path, monkeypatch,
+                                                                  grid, code):
+    # At d = 128, --grid 2048 is exactly MAX_GAP_WORK = grid * d^3; one more
+    # point is past it and exits 4 before the scan takes a single eigvalsh.
+    assert 2048 * 128 ** 3 == cli.MAX_GAP_WORK
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda h: calls.append(h.shape) or np.array([0.0, 1.0]))
+    path = tmp_path / "gap.json"
+    write_json(path, {"h_start": _matrix(128), "h_end": _matrix(128)})
+    argv = ["hamiltonian", "gap", "--in", str(path), "--grid", str(grid),
+            "--out", str(tmp_path / "scan.csv")]
+    assert run(argv) == code
+    assert len(calls) == (grid if code == 0 else 0)
+
+
 @pytest.mark.parametrize("command, doc", [
     ("hamiltonian stoquastic --in", {"matrix": _matrix(3)}),
     ("hamiltonian gap --in", {"h_start": _matrix(3), "h_end": _matrix(3)}),
@@ -606,7 +623,7 @@ CONFIG_KEYS = {
     "algorithm grover": ("n", "marked", "iterations"),
     "algorithm sandwich": ("control_dim", "data_dim"),
 }
-SCALARS = st.one_of(st.integers(-2, 3), st.floats(-8, 8),
+SCALARS = st.one_of(st.integers(-2, 3), st.integers(-10 ** 7, 10 ** 7), st.floats(-8, 8),
                     st.sampled_from([math.inf, -math.inf, math.nan]),
                     st.sampled_from(["H", "T", "h", "S"]), st.text(max_size=3),
                     st.booleans(), st.none())
@@ -632,9 +649,23 @@ def test_fuzzed_configs_exit_cleanly(tmp_path_factory, case):
 
 TERM_SUM_DOC = {"dims": [2, 2], "terms": [_z_term([0]), {**_z_term([1]), "j": 0.5}]}
 MATRIX_DOC = {"matrix": [[[0.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0], [0.5, 0.0]]]}
+CIRCUIT_DOC = {"wires": [2, 2], "ops": [
+    {"type": "gate", "name": "H", "wires": [0]},
+    {"type": "gate", "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+     "wires": [1]},
+    {"type": "mux", "control": 0, "targets": [1],
+     "branches": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                  [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]},
+    {"type": "measure", "wire": 0, "basis": "X", "out": "m"},
+    {"type": "cond", "when": {"m": 1}, "gate": {"name": "Z", "wires": [1]}},
+    {"type": "discard", "wire": 0}]}
+DENSITY_DOC = {"dims": [2], "matrix": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]}
 INPUT_DOCUMENTS = [("hamiltonian trotter", TERM_SUM_DOC),
                    ("hamiltonian stoquastic", TERM_SUM_DOC),
-                   ("hamiltonian stoquastic", MATRIX_DOC)]
+                   ("hamiltonian stoquastic", MATRIX_DOC),
+                   ("circuit", CIRCUIT_DOC),
+                   ("measure", plus_doc()),
+                   ("measure", DENSITY_DOC)]
 
 
 def _paths(doc, prefix=()):
@@ -663,13 +694,15 @@ SWAPS = st.sampled_from(INPUT_DOCUMENTS).flatmap(lambda case: st.tuples(
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(SWAPS)
 @example((INPUT_DOCUMENTS[0], ("terms", 0, "j"), math.nan))
+@example((INPUT_DOCUMENTS[3], ("ops", 3, "out"), [[1.0, 0.0]]))
 def test_fuzzed_input_documents_exit_cleanly(tmp_path_factory, swap):
-    # One value of a valid term sum or raw matrix swapped for NaN, an
-    # infinity, a bool, a string, a huge integer or a nested list: the run
-    # succeeds, fails an invariant, hits the cap or is malformed; nothing escapes.
+    # One value of a valid term sum, raw matrix, circuit or state document
+    # swapped for NaN, an infinity, a bool, a string, a huge integer or a
+    # nested list: the run succeeds, fails an invariant, hits the cap or is
+    # malformed; nothing escapes.
     (command, doc), path, value = swap
     folder = tmp_path_factory.getbasetemp()
     write_json(folder / "fuzz_doc.json", _swapped(doc, path, value))

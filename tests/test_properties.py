@@ -1,5 +1,6 @@
 """Property tests: exact JSON round-trips, the report writer and absolute tolerance boundaries."""
 
+import argparse
 import json
 import math
 import struct
@@ -181,10 +182,11 @@ def test_mps_round_trip_is_bit_exact(n_sites, d_bond, data):
 # ---------------------------------------------------------------------------
 
 def reference_dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """The report contract: ``json.dumps`` with every array read as its ``tolist()``."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=np.ndarray.tolist)
 
 
-# Tokens the writer's str.replace layout step must never split.
+# Strings that look like the layout's own brackets and separators.
 TRICKY_TEXT = ["], [", ", ", "[", "]", "a], [b, c", "é", "ключ", "☃", "\n", ""]
 NUMBERS = st.one_of(
     st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1.7976931348623157e308,
@@ -217,9 +219,16 @@ FLOAT_POOL = [0.0, -0.0, 0.5, -0.5, 2 ** -0.5, -(2 ** -0.5), math.inf, -math.inf
 FLOAT_TABLES = st.integers(1, 4).flatmap(lambda width: st.lists(
     st.lists(st.sampled_from(FLOAT_POOL), min_size=width, max_size=width),
     min_size=1, max_size=8))
+# Float64 arrays of the shapes a report holds: one row, one column, [re, im] pairs.
+FLOAT_ARRAYS = st.one_of(
+    st.integers(1, 5).map(lambda k: (1, k)), st.integers(1, 5).map(lambda k: (k, 1)),
+    st.integers(1, 8).map(lambda n: (n, 2))).flatmap(lambda shape: st.lists(
+        st.sampled_from(FLOAT_POOL), min_size=shape[0] * shape[1],
+        max_size=shape[0] * shape[1]).map(
+            lambda cells: np.array(cells, dtype=np.float64).reshape(shape)))
 KEYS = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=6))
 LEAVES = st.one_of(SCALARS, PAIR_LISTS, NUMBER_TABLES, FLOAT_TABLES, ODD_PAIRS, RAGGED,
-                   st.just([]), st.just({}))
+                   FLOAT_ARRAYS, st.just([]), st.just({}))
 DOCUMENTS = st.recursive(
     LEAVES,
     lambda inner: st.one_of(
@@ -250,6 +259,49 @@ def test_float_tables_match_json_dumps(a, b):
     assert qk._dumps_sorted(doc) == reference_dumps(doc)
 
 
+@settings(max_examples=200, deadline=None)
+@given(FLOAT_ARRAYS, FLOAT_ARRAYS)
+@example(np.array([[0.0, -0.0], [math.nan, nan_with_bits(0x7FF8000000000001)],
+                   [math.inf, -math.inf], [5e-324, 1e308],
+                   [nan_with_bits(0xFFF0000000000002), -0.0]]), np.array([[-0.0]]))
+def test_float_arrays_match_json_dumps(a, b):
+    doc = {"table": a, "branches": [{"amplitudes": a}, {"amplitudes": b}], "pairs": [a, b],
+           "tuple": (a,), "int_keys": {10: b, 2: a}}
+    assert qk._dumps_sorted(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[1, -2], [3, 0]]),
+    np.array([[True, False]]),
+    np.array([0.5, -0.0, math.inf]),
+    np.arange(8.0).reshape(2, 2, 2) - 4.0,
+    np.zeros((0, 2)),
+    np.zeros((3, 0)),
+    np.zeros(0),
+    np.array([[0.5, -0.0]], dtype=np.float32),
+    np.array(-0.0),
+], ids=["int", "bool", "1-D", "3-D", "empty-rows", "empty-columns", "empty", "float32",
+        "0-D"])
+def test_other_arrays_are_written_as_their_tolist(monkeypatch, array):
+    calls = counting_float_token(monkeypatch)
+    doc = {"table": array, "rows": [array]}
+    assert qk._dumps_sorted(doc) == reference_dumps(doc)
+    assert qk._dumps_sorted(doc) == reference_dumps({"table": array.tolist(),
+                                                     "rows": [array.tolist()]})
+    assert calls == []
+
+
+def test_array_json_cannot_write_raises_and_no_report_is_written(tmp_path):
+    # A complex array has no JSON form: the writer raises before any byte is out.
+    out = tmp_path / "report.json"
+    doc = {"fine": np.ones((2, 2)), "table": np.array([[1 + 2j, 0j]])}
+    with pytest.raises(TypeError):
+        qk._dumps_sorted(doc)
+    with pytest.raises(TypeError):
+        cli._emit(argparse.Namespace(out=str(out)), doc)
+    assert not out.exists()
+
+
 def counting_float_token(monkeypatch):
     calls = []
     token = qk._float_token
@@ -258,11 +310,15 @@ def counting_float_token(monkeypatch):
 
 
 @pytest.mark.parametrize("table, distinct", [
-    ([[0.5, -0.0], [0.5, 0.0], [-0.0, 0.5]], 3),
-    # An int in the table, or ragged rows: the C encoder writes it, no float
-    # is formatted one by one.
-    ([[1, 0.5], [2.0, -0.0]], 0),
+    (np.array([[0.5, -0.0], [0.5, 0.0], [-0.0, 0.5]]), 3),
+    # A list table, ragged rows, an int array or a list holding an int: each
+    # number goes through json.dumps on the generic walk, and no float is
+    # formatted from its bits.
+    ([[0.5, -0.0], [0.5, 0.0], [-0.0, 0.5]], 0),
     ([[1.0], [2.0, 3.0]], 0),
+    (np.array([[1, 2], [2, 0]]), 0),
+    ([[1, 0.5], [2.0, -0.0]], 0),
+    (np.array([[math.nan, nan_with_bits(0x7FF8000000000001)], [math.nan, 1.0]]), 3),
 ])
 def test_writer_route_by_table_shape(monkeypatch, table, distinct):
     calls = counting_float_token(monkeypatch)
@@ -328,10 +384,13 @@ def test_real_reports_match_json_dumps(monkeypatch, tmp_path, case):
 
 
 def float_tables(v):
-    """The rectangular all-``float`` tables of a document."""
+    """The rectangular all-``float`` tables of a document, 2-D float64 arrays as lists."""
     if type(v) is dict:
         for x in v.values():
             yield from float_tables(x)
+    elif isinstance(v, np.ndarray):
+        if v.dtype == np.float64 and v.ndim == 2 and v.size:
+            yield v.tolist()
     elif type(v) is list and v:
         if all(type(row) is list and row and len(row) == len(v[0])
                and all(type(x) is float for x in row) for row in v):
@@ -350,6 +409,34 @@ def test_writer_formats_each_distinct_float_once(monkeypatch, tmp_path):
     cells = sum(len(t) * len(t[0]) for t in tables)
     assert len(calls) == distinct
     assert 10 * distinct < cells
+
+
+def number_tables(v):
+    """Every array of a document, and every list of lists of numbers."""
+    if isinstance(v, np.ndarray):
+        yield v
+    elif type(v) is dict:
+        for x in v.values():
+            yield from number_tables(x)
+    elif type(v) is list and v:
+        if all(type(row) is list and row and all(type(x) in (int, float) for x in row)
+               for row in v):
+            yield v
+        else:
+            for x in v:
+                yield from number_tables(x)
+
+
+@pytest.mark.parametrize("case", ["circuit-12-wires", "wigner", "hamiltonian-gap",
+                                  "make-goldens"])
+def test_report_tables_reach_the_writer_as_float64_arrays(monkeypatch, tmp_path, case):
+    # A list table would come out byte-correct through the number-by-number
+    # walk, only slower; so every table must be a non-empty 2-D float64 array.
+    for _, doc in reports_of(monkeypatch, report_argv(case, tmp_path)):
+        tables = list(number_tables(doc))
+        assert tables
+        assert all(isinstance(t, np.ndarray) and t.dtype == np.float64 and t.ndim == 2
+                   and t.size for t in tables)
 
 
 # ---------------------------------------------------------------------------
