@@ -90,8 +90,6 @@ def one_control_build(u: np.ndarray, epsilon: float) -> tuple[Circuit, StateVect
     """
     u = np.asarray(u, dtype=complex)
     n_dim = u.shape[0]
-    if n_dim > 64:
-        raise InvariantError("data register limited to 6 qubits")
     v = rotation_v(epsilon)
     circuit = Circuit(HilbertSpec((2, n_dim)), (
         Gate(v, (0,), name="V_eps"),
@@ -106,9 +104,10 @@ def one_control_build(u: np.ndarray, epsilon: float) -> tuple[Circuit, StateVect
 def one_control_interference_decomposition(u: np.ndarray, epsilon: float) -> float:
     """Residual |I(CU (V_eps x 1)) - I(V_eps) - I(U)/2| (relative-entropy measure)."""
     u = np.asarray(u, dtype=complex)
+    qk._require_unitary(u, None, "U must be a square unitary")
     v = rotation_v(epsilon)
-    cu = Multiplexer((np.eye(u.shape[0], dtype=complex), u))
-    whole = cu.matrix @ np.kron(v, np.eye(u.shape[0]))
+    eye = np.eye(u.shape[0], dtype=complex)   # CU (V x 1), blockwise: no d x d product
+    whole = np.block([[v[0, 0] * eye, v[0, 1] * eye], [v[1, 0] * u, v[1, 1] * u]])
     i_whole = itf.interference_power(whole)
     i_v = itf.interference_power(v)
     i_u = itf.interference_power(u)
@@ -183,28 +182,20 @@ def grover_trace(n: int, marked: int, iterations: int) -> list[GroverStep]:
     the uniform unmarked state and stays below 1 bit, unlike the
     computational-basis coherence which starts at n bits.
     """
-    if n > 6:
-        raise InvariantError("search register limited to 6 qubits")
     if iterations < 0:
         raise InvariantError(f"iterations must be >= 0, got {iterations}")
-    dim = 2 ** n
+    spec = HilbertSpec((2,) * n)
+    dim = spec.total_dim
     if not 0 <= marked < dim:
         raise InvariantError("marked index out of range")
     theta = np.arcsin(dim ** -0.5)
-    spec = HilbertSpec((2,) * n)
     state = np.full(dim, dim ** -0.5, dtype=complex)
     unmarked = np.ones(dim, dtype=complex)
     unmarked[marked] = 0
     unmarked /= np.linalg.norm(unmarked)
-    marked_vec = np.zeros(dim, dtype=complex)
-    marked_vec[marked] = 1
-    uniform = np.full(dim, dim ** -0.5, dtype=complex)
-    oracle = np.eye(dim) - 2 * np.outer(marked_vec, marked_vec.conj())
-    diffusion = 2 * np.outer(uniform, uniform.conj()) - np.eye(dim)
 
     def rotated_coherence(vec):
-        amp2 = np.array([abs(np.vdot(marked_vec, vec)) ** 2,
-                         abs(np.vdot(unmarked, vec)) ** 2])
+        amp2 = np.array([abs(vec[marked]) ** 2, abs(np.vdot(unmarked, vec)) ** 2])
         return qk.shannon_entropy(amp2 / amp2.sum())
 
     steps = []
@@ -217,7 +208,9 @@ def grover_trace(n: int, marked: int, iterations: int) -> list[GroverStep]:
             coherence_computational=ms.rel_ent_coherence(sv),
             coherence_rotated=rotated_coherence(state),
         ))
-        state = diffusion @ (oracle @ state)
+        # The oracle flips the marked sign; the diffusion reflects about the mean.
+        state[marked] = -state[marked]
+        state = 2 * state.mean() - state
     return steps
 
 

@@ -30,10 +30,7 @@ import numpy as np
 from . import qkernel as qk
 from .interference import Multiplexer
 from .protocols import PauliKey, angle_basis, pauli_pad
-from .qkernel import (CapExceededError, HilbertSpec, InvariantError, QuantumChannel,
-                      StateVector)
-
-BRANCH_CAP = 2 ** 16
+from .qkernel import HilbertSpec, InvariantError, QuantumChannel, StateVector
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +174,7 @@ class BranchOutcome:
     state: StateVector
 
 
-def _walk(circuit: Circuit, columns: np.ndarray,
-          branch_cap: int = BRANCH_CAP) -> list[tuple[dict, np.ndarray]]:
+def _walk(circuit: Circuit, columns: np.ndarray) -> list[tuple[dict, np.ndarray]]:
     """Every measurement branch of ``circuit`` applied to the (D, B) array ``columns``.
 
     Gates act on their wires only.  A measurement rotates its wire by basis†
@@ -187,7 +183,8 @@ def _walk(circuit: Circuit, columns: np.ndarray,
     squared norm is at most ``qkernel.PRUNE`` times its parent's is dropped.
     Returns (record, amplitudes) per branch, unnormalised, of shape (D_surv, B)
     over the surviving wires: a measured wire that is not discarded holds its
-    outcome's basis column again.
+    outcome's basis column again.  A measurement splits a branch of dimension D
+    into children of dimension D/d, so the circuit's cap bounds the branches too.
     """
     dims = circuit.wires.dims
     live = list(range(len(dims)))           # original wire of each live axis
@@ -223,8 +220,6 @@ def _walk(circuit: Circuit, columns: np.ndarray,
                         new.append(({**rec, ins.out: k}, child))
             branches = new
             live.pop(pos)
-            if len(branches) > branch_cap:
-                raise CapExceededError(f"branch count exceeds cap {branch_cap}")
         # A Discard needs no work: its wire was contracted when it was measured.
 
     surv = circuit.surviving_wires
@@ -244,8 +239,7 @@ def _surviving_dims(circuit: Circuit) -> tuple[int, ...]:
     return tuple(circuit.wires.dims[w] for w in surv) if surv else (1,)
 
 
-def simulate(circuit: Circuit, input_state: StateVector,
-             branch_cap: int = BRANCH_CAP) -> list[BranchOutcome]:
+def simulate(circuit: Circuit, input_state: StateVector) -> list[BranchOutcome]:
     """Exhaustive branch enumeration with exact probabilities and post-states.
 
     A branch is dropped when its probability is at most ``qkernel.PRUNE``
@@ -258,7 +252,7 @@ def simulate(circuit: Circuit, input_state: StateVector,
     total = float(np.vdot(psi, psi).real)
     spec = HilbertSpec(_surviving_dims(circuit), cap=circuit.wires.cap)
     results = []
-    for rec, a in _walk(circuit, psi[:, None], branch_cap):
+    for rec, a in _walk(circuit, psi[:, None]):
         p = float(np.vdot(a, a).real)
         results.append(BranchOutcome(rec, p / total, StateVector(spec, a[:, 0] / np.sqrt(p))))
     return results
@@ -505,6 +499,7 @@ def mbqc_pattern(angles, adaptive: bool = True) -> Circuit:
     """
     angles = [float(th) for th in angles]
     n = len(angles)
+    wires = HilbertSpec((2,) * (n + 1))     # the row's only size rule: the default cap
     ins: list[Instruction] = []
     for k, th in enumerate(angles):
         ins += [Gate(qk.H, (k + 1,), name="H"),
@@ -517,7 +512,7 @@ def mbqc_pattern(angles, adaptive: bool = True) -> Circuit:
         ins += [Cond({f"s{k}": 1}, Gate(qk.GATES[name], (n,), name=name))
                 for parity, name in ((0, "X"), (1, "Z"))
                 for k in range(n) if (n - 1 - k) % 2 == parity]
-    return Circuit(HilbertSpec((2,) * (n + 1)), tuple(ins))
+    return Circuit(wires, tuple(ins))
 
 
 def encrypted_t_injection(key: tuple[int, int]) -> Circuit:

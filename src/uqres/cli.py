@@ -20,8 +20,10 @@ bytes are the C encoder's.  Lists are written number by number.
 Every integer field of an input document or config is read by one rule
 (``qkernel._json_int``): a bool, a float or a string is a parse error, never
 truncated; every real scalar (``qkernel._json_float``) takes a JSON number
-only, so a bool or a string is a parse error too.  ``--cap`` bounds raw
-matrices as well as states, circuits and term sums.  Loop counts have fixed
+only, so a bool or a string is a parse error too.  ``--cap`` is the one size
+rule: it bounds every register read from an input (states, circuits, term
+sums, raw matrices) or sized by a config (the grover, one-control, sandwich
+and mbqc registers) when it is read.  Loop counts have fixed
 bounds (``MAX_CHSH_ROUNDS``, ``MAX_GROVER_ITERATIONS``, ``MAX_GAP_GRID``), and
 the work of a gap scan, grid points times d³, is bounded by ``MAX_GAP_WORK``.
 Exit codes: 0 success, 2 parse error, 3 invariant/constraint violation, 4
@@ -111,6 +113,14 @@ def _int_key(config: dict, name: str, default=None, count: int | None = None):
     if count is None:
         return qk._json_int(value, f"key {name!r}")
     return qk._json_ints(value, f"key {name!r}", count)
+
+
+def _pair_start(key: str) -> int:
+    """An ``hqca`` layer key as a canonical decimal integer: ``"00"`` or ``" 0"`` exits 2."""
+    start = int(key)
+    if str(start) != key:
+        raise ParseFailure(f"hqca pair start must be a canonical integer, got {key!r}")
+    return start
 
 
 def _bounded(count: int, bound: int, what: str) -> int:
@@ -246,7 +256,8 @@ def cmd_protocol(args) -> int:
     rng = np.random.default_rng(args.seed)
     config = _load_json(args.config) if args.config else {}
     name = args.name
-    # Every config key is read here, so a malformed config exits 2.
+    # Every config key is read here, so a malformed config exits 2, and the
+    # mbqc row is checked against --cap before any dense work (exit 4).
     with qk._parsing("protocol config"):
         if name == "chsh":
             rounds = _int_key(config, "rounds", 1000)
@@ -273,6 +284,7 @@ def cmd_protocol(args) -> int:
             if type(angles) is not list:
                 raise ParseFailure(f"angles must be a list of JSON numbers, got {angles!r}")
             angles = [qk._json_float(a, "each angle") for a in angles]
+            qk.HilbertSpec((2,) * (len(angles) + 1), cap=args.cap)
             adaptive = config.get("adaptive", True)
             if not isinstance(adaptive, bool):
                 raise ParseFailure(f"adaptive must be a JSON bool, got {adaptive!r}")
@@ -313,8 +325,6 @@ def cmd_protocol(args) -> int:
         fids = [qk.state_fidelity(b.corrected, target) for b in branches]
         results = {"branches": len(branches), "min_fidelity": min(fids),
                    "verdict": "pass" if min(fids) >= 1 - 1e-9 else "fail"}
-    else:
-        raise ParseFailure(f"unknown protocol {name!r}")
     _emit(args, _report(args, results))
     if results["verdict"] == "fail":
         raise InvariantError(f"{name} verification failed")
@@ -341,7 +351,8 @@ def cmd_hamiltonian(args) -> int:
     elif action == "hqca":
         doc = _load_json(_one_input(args))
         with qk._parsing("hqca document"):
-            layers = [{int(k): _int_key(layer, k) for k in layer} for layer in doc["layers"]]
+            layers = [{_pair_start(k): _int_key(layer, k) for k in layer}
+                      for layer in doc["layers"]]
             data = vector_from_json(doc["data"], cap=args.cap)
         out = ham.hqca_run(layers, data)
         direct = ham.hqca_direct(layers, data)
@@ -370,8 +381,6 @@ def cmd_hamiltonian(args) -> int:
             sys.stdout.write(json.dumps({"min_gap": g_min, "at": s_min}) + "\n")
             return EXIT_OK
         results = {"scan": np.array(scan, dtype=np.float64), "min_gap": g_min, "at": s_min}
-    else:
-        raise ParseFailure(f"unknown hamiltonian action {action!r}")
     _emit(args, _report(args, results))
     return EXIT_OK
 
@@ -426,8 +435,6 @@ def cmd_algorithm(args) -> int:
             parameters={"control_dim": d1, "data_dim": d2},
             interference_terms={"formula": direct, "dual_state": via_dual},
             residuals={"route_mismatch": abs(direct - via_dual)})
-    else:
-        raise ParseFailure(f"unknown algorithm {name!r}")
     _emit(args, _report(args, report.to_dict()))
     return EXIT_OK
 

@@ -7,9 +7,7 @@ the circuit-history construction with its tridiagonal walk Hamiltonian and
 adiabatic gap scans.
 
 Interpolation convention: ``interpolate(h_start, h_end, s) = (1-s) h_start +
-s h_end`` so the scan starts at the ground state of the first argument.  The
-swapped-endpoint form ``t h0 + (1-t) h1`` is kept as
-:func:`interpolate_swapped` for compatibility with the reversed convention.
+s h_end`` so the scan starts at the ground state of the first argument.
 """
 
 from __future__ import annotations
@@ -182,19 +180,20 @@ def hqca_quench() -> np.ndarray:
 
 
 def hqca_run(layers, data: StateVector) -> StateVector:
-    """Brickwork of programmed quenches on <= 4 data qubits.
+    """Brickwork of programmed quenches on data qubits.
 
     ``layers`` is a list of {pair_start: program} dicts; layer k may only use
-    even pair starts when k is even and odd ones when k is odd.  Each active
-    pair gets a fresh ancilla in |1> and a fresh program qutrit in |p>; after
-    the quench the ancilla must read |0> and the program must be unchanged
-    (both are verified before being projected away), and the pair of data
-    qubits has received 1, W or SWAP.  The global phase i per active pair is
-    kept.
+    even pair starts when k is even and odd ones when k is odd, and each pair
+    (s, s + 1) must lie on the data wires.  Each active pair gets a fresh
+    ancilla in |1> and a fresh program qutrit in |p>; after the quench the
+    ancilla must read |0> and the program must be unchanged (both are
+    verified before being projected away), and the pair of data qubits has
+    received 1, W or SWAP.  The global phase i per active pair is kept.
     """
-    n = data.spec.n_subsystems
-    if n > 4 or any(d != 2 for d in data.spec.dims):
-        raise InvariantError("hqca_run supports up to 4 data qubits")
+    if any(d != 2 for d in data.spec.dims):
+        raise InvariantError("hqca_run acts on data qubits only")
+    # Ancilla |1> and program |p> go in front, (2, 3) + data, under the data's cap.
+    dims = HilbertSpec((2, 3) + data.spec.dims, cap=data.spec.cap).dims
     quench = hqca_quench()
     amps = data.amplitudes.copy()
     for k, layer in enumerate(layers):
@@ -204,10 +203,8 @@ def hqca_run(layers, data: StateVector) -> StateVector:
             if pair_start % 2 != k % 2:
                 raise InvariantError(
                     f"layer {k} may not act on pair starting at {pair_start}")
-            if pair_start + 1 >= n:
-                raise InvariantError(f"pair start {pair_start} out of range")
-            # Attach ancilla |1> and program |p> in front: dims (2, 3) + data.
-            dims = (2, 3) + data.spec.dims
+            qk._require_placement((pair_start, pair_start + 1), None, data.spec.dims,
+                                  "hqca pair")
             big = np.zeros(6 * amps.size, dtype=complex)
             block = 3 * amps.size
             offset = block + program * amps.size  # ancilla=1, program=p
@@ -292,11 +289,6 @@ def walk_hamiltonian(length: int) -> np.ndarray:
 def interpolate(h_start: np.ndarray, h_end: np.ndarray, s: float) -> np.ndarray:
     """(1 - s) h_start + s h_end: starts at the ground state of h_start."""
     return (1.0 - s) * np.asarray(h_start) + s * np.asarray(h_end)
-
-
-def interpolate_swapped(h0: np.ndarray, h1: np.ndarray, t: float) -> np.ndarray:
-    """t h0 + (1 - t) h1: the swapped-endpoint form (equals interpolate(h1, h0, t))."""
-    return interpolate(h1, h0, t)
 
 
 def adiabatic_gap_scan(h_start: np.ndarray, h_end: np.ndarray,

@@ -304,7 +304,6 @@ def angle_basis(theta: float) -> np.ndarray:
 _UNIT = np.ones(1, dtype=complex)   # the empty register's vector, read-only
 _UNIT.setflags(write=False)
 _EBIT = qk._max_entangled(2)   # (|00> + |11>) / sqrt(2), read-only, shared by every ebit
-LIVE_CAP = 12                  # most qubits a Register holds at once
 
 
 def _normalised(amplitudes, n: int) -> np.ndarray:
@@ -350,9 +349,9 @@ class Register:
         if len(set(names)) != len(names) or any(n in self.names for n in names):
             raise InvariantError(f"qubit names {names} are not fresh and distinct")
         live = len(self.names) + len(names)
-        if live > LIVE_CAP:
+        if 2 ** live > qk.DEFAULT_DIM_CAP:
             raise qk.CapExceededError(
-                f"live register of {live} qubits exceeds cap {LIVE_CAP}")
+                f"total dimension {qk._int_text(2 ** live)} exceeds cap {qk.DEFAULT_DIM_CAP}")
         self.vec = np.multiply.outer(self.vec, amps).reshape(-1)
         self.names += names
         self.owners.update(zip(names, owners))
@@ -739,12 +738,11 @@ def mbqc_gate(angles, psi: StateVector, adaptive: bool = True) -> list[MBQCBranc
     ``s0, s1, ...`` in order.  Adaptive, every byproduct is corrected as it
     arises and every branch equals the target gate on |psi>; without
     adaptivity the Pauli frame is applied only at the end and the branches
-    disagree for non-Pauli angles.
+    disagree for non-Pauli angles.  The row of n angles holds n + 1 qubits
+    under the default dimension cap, so it takes at most 11 angles.
     """
     from .circuits import mbqc_pattern, simulate   # circuits imports this module
     angles = list(angles)
-    if len(angles) + 1 > 6:
-        raise InvariantError("cluster row limited to 6 qubits")
     if psi.spec.dims != (2,):
         raise InvariantError("mbqc_gate teleports a single qubit")
     if not np.isfinite(angles).all():

@@ -6,7 +6,7 @@ from uqres import circuits as qc
 from uqres import interference as itf
 from uqres import qkernel as qk
 from uqres.interference import Multiplexer
-from uqres.qkernel import InvariantError
+from uqres.qkernel import CapExceededError, InvariantError
 
 
 def binary_entropy(p):
@@ -117,6 +117,25 @@ def test_one_control_decomposition_random_suite():
     assert worst < 1e-9
 
 
+def test_one_control_past_six_qubits_builds_cu_v_blockwise(monkeypatch):
+    # Seven data qubits, one past the data register the toolkit once refused.
+    rng = np.random.default_rng(12)
+    d, eps = 2 ** 7, 0.05
+    u = qk.haar_unitary(d, rng)
+    seen = []
+    power = itf.interference_power
+    monkeypatch.setattr(itf, "interference_power",
+                        lambda e, *args: seen.append(e) or power(e, *args))
+    report = alg.one_control_report(u, eps)
+    kron_route = Multiplexer((np.eye(d, dtype=complex), u)).matrix @ np.kron(
+        alg.rotation_v(eps), np.eye(d))
+    assert any(e.shape == kron_route.shape and np.array_equal(e, kron_route) for e in seen)
+    assert report.parameters["data_dim"] == d
+    assert report.residuals["additive_decomposition"] < 1e-9
+    _, state = alg.one_control_build(u, eps)
+    assert np.abs(state.amplitudes[d:] - np.sqrt(eps) * u[:, 0]).max() < 1e-12
+
+
 def test_one_control_entanglement_small_for_small_eps():
     rng = np.random.default_rng(6)
     u = qk.haar_unitary(4, rng)
@@ -175,6 +194,35 @@ def test_grover_closed_form_all_sizes():
         steps = alg.grover_trace(n, marked=1, iterations=20)
         for s in steps:
             assert s.success_probability == pytest.approx(s.closed_form, abs=1e-10)
+
+
+def dense_grover_probabilities(n, marked, iterations):
+    """The dense route: oracle and diffusion as d x d matrices, one matvec each per step."""
+    d = 2 ** n
+    uniform = np.full(d, d ** -0.5, dtype=complex)
+    oracle = np.eye(d)
+    oracle[marked, marked] = -1
+    diffusion = 2 * np.outer(uniform, uniform.conj()) - np.eye(d)
+    state, probs = uniform, []
+    for _ in range(iterations + 1):
+        probs.append(abs(state[marked]) ** 2)
+        state = diffusion @ (oracle @ state)
+    return np.array(probs)
+
+
+def test_grover_past_six_qubits_matches_closed_form_and_dense_route():
+    # Seven qubits, one past the search register the toolkit once refused.
+    n, marked, iterations = 7, 77, 60
+    got = np.array([s.success_probability for s in alg.grover_trace(n, marked, iterations)])
+    k = np.arange(iterations + 1)
+    closed = np.sin((2 * k + 1) * np.arcsin(2 ** (-n / 2))) ** 2
+    assert np.abs(got - closed).max() <= 1e-12
+    assert np.abs(got - dense_grover_probabilities(n, marked, iterations)).max() <= 1e-12
+
+
+def test_grover_past_the_dimension_cap_is_refused():
+    with pytest.raises(CapExceededError):
+        alg.grover_trace(13, 0, 1)           # 8192 > 4096
 
 
 def test_grover_coherence_profile():

@@ -8,7 +8,7 @@ from uqres import interference as itf
 from uqres import protocols as pr
 from uqres import qkernel as qk
 from uqres.circuits import Circuit, Cond, Discard, Gate, Measure, Mux
-from uqres.qkernel import CapExceededError, HilbertSpec, InvariantError
+from uqres.qkernel import HilbertSpec, InvariantError
 
 from embedding import embed_operator
 
@@ -312,14 +312,6 @@ def test_measurement_basis_is_checked_when_built(tmp_path):
     assert cli.main(["circuit", "--in", str(path)]) == cli.EXIT_INVARIANT
 
 
-def test_branch_cap():
-    ins = tuple(Measure(w, "Z", f"m{w}") for w in range(5))
-    circ = Circuit(HilbertSpec((2,) * 5), ins)
-    state = qk.random_state((2,) * 5, np.random.default_rng(8))
-    with pytest.raises(CapExceededError):
-        qc.simulate(circ, state, branch_cap=8)
-
-
 def test_json_round_trip():
     circ = Circuit(HilbertSpec((2, 2)), (
         Gate(qk.H, (0,), name="H"),
@@ -444,6 +436,33 @@ def random_circuit(seed, unitary_only=False):
 
 def record_key(rec):
     return tuple(sorted(rec.items()))
+
+
+def measure_every_wire(seed):
+    """1-4 wires of dimension 2 or 3: a Haar gate per wire and on one pair,
+    then every wire measured in a Haar basis, so no outcome has probability 0."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.choice([2, 3], size=1 + seed % 4))
+    ins = [Gate(qk.haar_unitary(d, rng), (w,)) for w, d in enumerate(dims)]
+    if len(dims) > 1:
+        pair = (0, len(dims) - 1)
+        ins.append(Gate(qk.haar_unitary(dims[0] * dims[-1], rng), pair))
+    ins += [Measure(w, qk.haar_unitary(d, rng), f"m{w}") for w, d in enumerate(dims)]
+    return Circuit(HilbertSpec(dims), tuple(ins))
+
+
+@pytest.mark.parametrize("build", [random_circuit, measure_every_wire],
+                         ids=["random", "measure-every-wire"])
+@pytest.mark.parametrize("seed", range(12))
+def test_branch_count_is_bounded_by_the_circuit_dimension(build, seed):
+    # A measurement splits a branch of live dimension D into children of
+    # dimension D/d, so a walk never holds more branches than the circuit has
+    # dimensions: the circuit's cap bounds the branch count too.
+    circ = build(seed)
+    d = circ.wires.total_dim
+    state = qk.random_state(circ.wires.dims, np.random.default_rng(seed))
+    assert len(qc.simulate(circ, state)) <= d
+    assert len(qc.branch_kraus(circ)) <= d
 
 
 @pytest.mark.parametrize("seed", range(24))

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -307,6 +308,10 @@ def _z_term(sites):
             "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}
 
 
+def _qubits_doc(n):
+    return {"dims": [2] * n, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * (2 ** n - 1)}
+
+
 MALFORMED = {
     "circuit-without-wires": ("circuit", {"ops": _bell_ops()}),
     "measure-without-out": ("circuit", {"wires": [2, 2], "ops": _bell_ops() + [
@@ -321,6 +326,11 @@ MALFORMED = {
         "dims": [2, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
     "hqca-layer-value-a-bool": ("hamiltonian hqca", {"layers": [{"0": True}], "data": {
         "dims": [2, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
+    # A layer key is a canonical decimal integer; int() alone reads each of these as 0.
+    **{f"hqca-layer-key-{name}": ("hamiltonian hqca", {"layers": [{key: 1}],
+                                                       "data": _qubits_doc(2)})
+       for name, key in (("space", " 0"), ("plus", "+0"), ("leading-zero", "00"),
+                         ("arabic-indic-digit", "\u0660"), ("underscore", "0_0"))},
     # Integer fields take JSON integers only; none of these is truncated.
     "state-dims-fractional": ("measure", {"dims": [2.9], "amplitudes": [
         [1.0, 0.0], [0.0, 0.0]]}),
@@ -358,6 +368,14 @@ def test_malformed_document_exits_2(tmp_path, case):
     path = tmp_path / "doc.json"
     write_json(path, doc)
     assert run(command.split() + ["--in", str(path)]) == 2
+
+
+@pytest.mark.parametrize("layers", [[{"-2": 1}], [{"0": 0}, {"-1": 1}]])
+def test_hqca_negative_pair_start_exits_3(tmp_path, layers):
+    # Once an uncaught ValueError (exit 1): a pair must lie on the data wires.
+    path = tmp_path / "hqca.json"
+    write_json(path, {"layers": layers, "data": _qubits_doc(2)})
+    assert run(["hamiltonian", "hqca", "--in", str(path)]) == 3
 
 
 def test_cond_gate_given_by_name_runs(tmp_path, capsys):
@@ -408,6 +426,32 @@ def test_algorithm_cap_flag_exits_4(tmp_path, name, config):
     path = tmp_path / "config.json"
     write_json(path, config)
     assert run(["algorithm", name, "--config", str(path), "--cap", "4"]) == 4
+
+
+def test_protocol_mbqc_row_past_the_cap_flag_exits_4(tmp_path):
+    # Five angles hold six qubits: 64 > 32.
+    path = tmp_path / "config.json"
+    write_json(path, {"angles": [0.1] * 5})
+    assert run(["protocol", "mbqc", "--config", str(path), "--cap", "32"]) == 4
+
+
+@pytest.mark.parametrize("command, flag, doc, code", [
+    ("protocol mbqc", "--config", {"angles": [0.3] * 6}, 0),
+    ("protocol mbqc", "--config", {"angles": [0.3] * 11}, 0),
+    ("protocol mbqc", "--config", {"angles": [0.3] * 12}, 4),
+    ("algorithm grover", "--config", {"n": 7, "marked": 100, "iterations": 8}, 0),
+    ("algorithm one-control", "--config", {"qubits": 7}, 0),
+    ("hamiltonian hqca", "--in", {"layers": [{"0": 1, "2": 2}, {"3": 1}],
+                                  "data": _qubits_doc(5)}, 0),
+    ("hamiltonian hqca", "--in", {"layers": [{"0": 1}], "data": _qubits_doc(10)}, 4),
+], ids=["mbqc-6", "mbqc-11", "mbqc-12", "grover-7", "one-control-7", "hqca-5", "hqca-10"])
+def test_the_dimension_cap_is_the_only_size_rule(tmp_path, command, flag, doc, code):
+    # Runs past the old hand-set limits (6-qubit rows and search registers,
+    # 64-row data registers, 4 data qubits) exit 0 within the cap and 4 past it.
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    argv = command.split() + [flag, str(path), "--out", str(tmp_path / "report.json")]
+    assert run(argv) == code
 
 
 @pytest.mark.parametrize("n", [64, 20000])
@@ -660,12 +704,17 @@ CIRCUIT_DOC = {"wires": [2, 2], "ops": [
     {"type": "cond", "when": {"m": 1}, "gate": {"name": "Z", "wires": [1]}},
     {"type": "discard", "wire": 0}]}
 DENSITY_DOC = {"dims": [2], "matrix": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]}
+GAP_DOC = {"h_start": _z_term([0])["matrix"], "h_end": MATRIX_DOC["matrix"]}
+HQCA_DOC = {"layers": [{"0": 1}, {"1": 2}], "data": {
+    "dims": [2, 2, 2], "amplitudes": [[2 ** -0.5, 0.0]] + [[0.0, 0.0]] * 6 + [[0.0, 2 ** -0.5]]}}
 INPUT_DOCUMENTS = [("hamiltonian trotter", TERM_SUM_DOC),
                    ("hamiltonian stoquastic", TERM_SUM_DOC),
                    ("hamiltonian stoquastic", MATRIX_DOC),
                    ("circuit", CIRCUIT_DOC),
                    ("measure", plus_doc()),
-                   ("measure", DENSITY_DOC)]
+                   ("measure", DENSITY_DOC),
+                   ("hamiltonian gap", GAP_DOC),
+                   ("hamiltonian hqca", HQCA_DOC)]
 
 
 def _paths(doc, prefix=()):
@@ -677,20 +726,33 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
+@dataclass(frozen=True)
+class NewKey:
+    """A swap of the one key of the dict at a path, in place of its value."""
+    text: str
+
+
 def _swapped(doc, path, value):
-    """A deep copy of ``doc`` with the value at ``path`` replaced."""
+    """A deep copy of ``doc`` with the value at ``path`` (for a ``NewKey``, its key) replaced."""
     doc = json.loads(json.dumps(doc))
     node = doc
     for key in path[:-1]:
         node = node[key]
+    if isinstance(value, NewKey):
+        (old,) = node[path[-1]].values()
+        value = {value.text: old}
     node[path[-1]] = value
     return doc
 
 
 ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "0.5", "",
                               10 ** 400, 2 ** 64, [[1.0, 0.0]], [[[[]]]]])
-SWAPS = st.sampled_from(INPUT_DOCUMENTS).flatmap(lambda case: st.tuples(
-    st.just(case), st.sampled_from(list(_paths(case[1]))), ODD_VALUES))
+HQCA_KEYS = st.sampled_from(["-1", "-2", " 0", "00", "+0", "x"]).map(NewKey)
+SWAPS = st.one_of(
+    st.sampled_from(INPUT_DOCUMENTS).flatmap(lambda case: st.tuples(
+        st.just(case), st.sampled_from(list(_paths(case[1]))), ODD_VALUES)),
+    st.tuples(st.just(INPUT_DOCUMENTS[7]), st.sampled_from([("layers", 0), ("layers", 1)]),
+              HQCA_KEYS))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -698,11 +760,13 @@ SWAPS = st.sampled_from(INPUT_DOCUMENTS).flatmap(lambda case: st.tuples(
 @given(SWAPS)
 @example((INPUT_DOCUMENTS[0], ("terms", 0, "j"), math.nan))
 @example((INPUT_DOCUMENTS[3], ("ops", 3, "out"), [[1.0, 0.0]]))
+@example((INPUT_DOCUMENTS[7], ("layers", 0), NewKey("-2")))
 def test_fuzzed_input_documents_exit_cleanly(tmp_path_factory, swap):
-    # One value of a valid term sum, raw matrix, circuit or state document
-    # swapped for NaN, an infinity, a bool, a string, a huge integer or a
-    # nested list: the run succeeds, fails an invariant, hits the cap or is
-    # malformed; nothing escapes.
+    # One value of a valid term sum, raw matrix, circuit, state, gap or hqca
+    # document swapped for NaN, an infinity, a bool, a string, a huge integer
+    # or a nested list, or one hqca layer key swapped for a negative, padded
+    # or non-numeric one: the run succeeds, fails an invariant, hits the cap
+    # or is malformed; nothing escapes.
     (command, doc), path, value = swap
     folder = tmp_path_factory.getbasetemp()
     write_json(folder / "fuzz_doc.json", _swapped(doc, path, value))

@@ -4,7 +4,7 @@ import pytest
 from uqres import hamiltonian as ham
 from uqres import qkernel as qk
 from uqres.hamiltonian import HamiltonianTerm, TermSum
-from uqres.qkernel import HilbertSpec, InvariantError
+from uqres.qkernel import CapExceededError, HilbertSpec, InvariantError
 
 
 def heisenberg_sum(n, coupling=1.0):
@@ -210,8 +210,23 @@ def test_hqca_run_validation():
         ham.hqca_run([{0: 3}], data)          # bad program value
     with pytest.raises(InvariantError):
         ham.hqca_run([{1: 1}], data)          # odd pair start in even layer
+    for layers in ([{-2: 1}], [{0: 0}, {-1: 1}], [{0: 0}, {3: 1}]):
+        with pytest.raises(InvariantError):
+            ham.hqca_run(layers, data)        # a pair off the data wires
     with pytest.raises(InvariantError):
-        ham.hqca_run([{0: 0}], qk.zero_state((2,) * 5))
+        ham.hqca_run([{0: 0}], qk.zero_state((3, 2)))
+    # Ancilla, program and 10 data qubits: 2 * 3 * 2^10 = 6144 > 4096.
+    with pytest.raises(CapExceededError):
+        ham.hqca_run([{0: 0}], qk.zero_state((2,) * 10))
+
+
+def test_hqca_run_on_five_qubits_matches_direct():
+    rng = np.random.default_rng(11)
+    data = qk.random_state((2,) * 5, rng)
+    layers = [{s: int(rng.integers(3)) for s in range(k % 2, 4, 2)} for k in range(4)]
+    # hqca_run keeps a global phase i per pair, which the fidelity ignores.
+    fid = qk.state_fidelity(ham.hqca_run(layers, data), ham.hqca_direct(layers, data))
+    assert fid >= 1 - 1e-12
 
 
 def test_history_state_l0():
@@ -296,9 +311,6 @@ def test_interpolation_conventions():
     a, b = qk.Z, qk.X
     assert np.allclose(ham.interpolate(a, b, 0.0), a)
     assert np.allclose(ham.interpolate(a, b, 1.0), b)
-    # swapped form: t = 1 lands on the FIRST argument
-    assert np.allclose(ham.interpolate_swapped(a, b, 1.0), a)
-    assert np.allclose(ham.interpolate_swapped(a, b, 0.0), b)
 
 
 def test_gap_scan_dimension_mismatch():

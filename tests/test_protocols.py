@@ -5,7 +5,7 @@ from uqres import protocols as pr
 from uqres import qkernel as qk
 from uqres.protocols import (PauliKey, PRBox, PMQCResources, SamplingSource,
                              Transcript, enumerate_runs)
-from uqres.qkernel import InvariantError, ResourceError
+from uqres.qkernel import CapExceededError, InvariantError, ResourceError
 
 from recording import Recorder
 
@@ -277,6 +277,23 @@ def test_mbqc_non_adaptive_fails():
     fids = [qk.state_fidelity(b.corrected, target)
             for b in pr.mbqc_gate(angles, psi, adaptive=False)]
     assert min(fids) < 1 - 1e-3
+
+
+def test_mbqc_row_of_six_angles_is_deterministic():
+    # Seven qubits, one past the row length the toolkit once refused.
+    rng = np.random.default_rng(17)
+    psi = qk.random_state((2,), rng)
+    angles = list(rng.uniform(-np.pi, np.pi, size=6))
+    target = qk.StateVector(psi.spec, pr.mbqc_target(angles) @ psi.amplitudes)
+    branches = pr.mbqc_gate(angles, psi, adaptive=True)
+    assert len(branches) == 64
+    assert min(qk.state_fidelity(b.corrected, target) for b in branches) >= 1 - 1e-12
+
+
+def test_mbqc_row_past_the_dimension_cap_is_refused():
+    # Twelve angles hold 13 qubits: 8192 > 4096.
+    with pytest.raises(CapExceededError):
+        pr.mbqc_gate([0.1] * 12, qk.plus_state(2))
 
 
 @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])

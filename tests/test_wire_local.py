@@ -276,8 +276,9 @@ def test_register_rejected_state_leaves_no_owner_behind():
 
 
 def test_register_rejects_growth_past_the_live_cap():
+    # The register's dimension, 2^live, is bounded by the default cap.
     reg = two_qubit_register()
-    for j in range(pr.LIVE_CAP - 2):
+    for j in range(int(math.log2(qk.DEFAULT_DIM_CAP)) - 2):
         reg.add_qubit(f"f{j}", "A", [1, 0])
     assert_rejected_unchanged(reg, lambda: reg.add_qubit("over", "A", [1, 0]),
                               qk.CapExceededError)
