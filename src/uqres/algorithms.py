@@ -18,7 +18,7 @@ from . import measures as ms
 from . import qkernel as qk
 from .circuits import Circuit, Gate, Mux
 from .interference import Multiplexer
-from .qkernel import HilbertSpec, InvariantError, StateVector
+from .qkernel import HilbertSpec, InvariantError, StateVector, UnitaryOp
 
 
 @dataclass(frozen=True)
@@ -83,51 +83,66 @@ def rotation_v(epsilon: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def one_control_build(u: np.ndarray, epsilon: float) -> tuple[Circuit, StateVector]:
+def _data_unitary(u) -> UnitaryOp:
+    """The data unitary U, checked once; a ``UnitaryOp`` was checked when it was built."""
+    if isinstance(u, UnitaryOp):
+        return u
+    u = np.array(u, dtype=complex)               # a copy, frozen by _trusted
+    qk._require_unitary(u, None, "U must be a square unitary")
+    return qk._trusted(UnitaryOp, spec=HilbertSpec((u.shape[0],)), matrix=u)
+
+
+def one_control_build(u, epsilon: float) -> tuple[Circuit, StateVector]:
     """Circuit CU (V_eps x 1) on |0>|0..0> and its final state.
 
-    The final state is sqrt(1-eps) |0>|0..0> + sqrt(eps) |1> U|0..0>.
+    The final state is sqrt(1-eps) |0>|0..0> + sqrt(eps) |1> U|0..0>.  ``u``
+    is a matrix, checked here, or a ``UnitaryOp``, checked already.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _data_unitary(u).matrix
     n_dim = u.shape[0]
     v = rotation_v(epsilon)
-    circuit = Circuit(HilbertSpec((2, n_dim)), (
-        Gate(v, (0,), name="V_eps"),
-        Mux(0, (np.eye(n_dim, dtype=complex), u), (1,)),
-    ))
+    branches = (np.eye(n_dim, dtype=complex), u)
+    cu = qk._trusted(Mux, control=0, branches=branches, targets=(1,),
+                     multiplexer=qk._trusted(Multiplexer, branches=branches))
+    circuit = Circuit(HilbertSpec((2, n_dim)), (Gate(v, (0,), name="V_eps"), cu))
     amps = np.zeros(2 * n_dim, dtype=complex)
     amps[0] = np.sqrt(1.0 - epsilon)
     amps[n_dim:] = np.sqrt(epsilon) * u[:, 0]
     return circuit, StateVector(HilbertSpec((2, n_dim)), amps)
 
 
-def one_control_interference_decomposition(u: np.ndarray, epsilon: float) -> float:
+def _one_control_terms(u: UnitaryOp, v: np.ndarray) -> tuple[float, float, float]:
+    """(residual |I(CU (V_eps x 1)) - I(V_eps) - I(U)/2|, I(V_eps), I(U)), relative entropy."""
+    eye = np.eye(u.dim, dtype=complex)   # CU (V x 1), blockwise: no d x d product
+    m = u.matrix
+    whole = np.block([[v[0, 0] * eye, v[0, 1] * eye], [v[1, 0] * m, v[1, 1] * m]])
+    i_whole, i_v, i_u = (itf.interference_power(whole), itf.interference_power(v),
+                         itf.interference_power(u))
+    return float(abs(i_whole - i_v - 0.5 * i_u)), i_v, i_u
+
+
+def one_control_interference_decomposition(u, epsilon: float) -> float:
     """Residual |I(CU (V_eps x 1)) - I(V_eps) - I(U)/2| (relative-entropy measure)."""
-    u = np.asarray(u, dtype=complex)
-    qk._require_unitary(u, None, "U must be a square unitary")
-    v = rotation_v(epsilon)
-    eye = np.eye(u.shape[0], dtype=complex)   # CU (V x 1), blockwise: no d x d product
-    whole = np.block([[v[0, 0] * eye, v[0, 1] * eye], [v[1, 0] * u, v[1, 1] * u]])
-    i_whole = itf.interference_power(whole)
-    i_v = itf.interference_power(v)
-    i_u = itf.interference_power(u)
-    return float(abs(i_whole - i_v - 0.5 * i_u))
+    return _one_control_terms(_data_unitary(u), rotation_v(epsilon))[0]
 
 
-def one_control_report(u: np.ndarray, epsilon: float) -> AlgorithmReport:
+def one_control_report(u, epsilon: float) -> AlgorithmReport:
+    """The one-control construction's interference terms; ``u`` is checked once."""
+    u = _data_unitary(u)
     v = rotation_v(epsilon)
+    residual, i_v, i_u = _one_control_terms(u, v)
     circuit, state = one_control_build(u, epsilon)
     ent = ms.entanglement_entropy(state, [0])
     return AlgorithmReport(
         algorithm="one-control-qubit",
-        parameters={"epsilon": epsilon, "data_dim": int(np.asarray(u).shape[0])},
+        parameters={"epsilon": epsilon, "data_dim": u.dim},
         interference_terms={
             "c_l1_v": itf.interference_power(v, "l1"),
-            "c_rel_v": itf.interference_power(v),
-            "i_u": itf.interference_power(np.asarray(u, dtype=complex)),
+            "c_rel_v": i_v,
+            "i_u": i_u,
             "control_data_entanglement": ent,
         },
-        residuals={"additive_decomposition": one_control_interference_decomposition(u, epsilon)},
+        residuals={"additive_decomposition": residual},
     )
 
 

@@ -196,6 +196,27 @@ def hqca_run(layers, data: StateVector) -> StateVector:
     dims = HilbertSpec((2, 3) + data.spec.dims, cap=data.spec.cap).dims
     quench = hqca_quench()
     amps = data.amplitudes.copy()
+    for pair_start, program in _hqca_pairs(layers, data.spec.dims):
+        big = np.zeros(6 * amps.size, dtype=complex)
+        block = 3 * amps.size
+        offset = block + program * amps.size  # ancilla=1, program=p
+        big[offset:offset + amps.size] = amps
+        big = qk.apply_on_wires(big, quench, [0, 1, 2 + pair_start, 3 + pair_start], dims)
+        # Side conditions: ancilla flipped to |0>, program unchanged.
+        tens = big.reshape(dims)
+        out = tens[0, program]
+        qk._require_close(float(np.vdot(out, out).real), 1.0, 1e-9,
+                          "quench left ancilla/program registers dirty")
+        amps = out.reshape(-1)
+    return StateVector(data.spec, amps / np.linalg.norm(amps))
+
+
+def _hqca_pairs(layers, dims):
+    """Each active pair as (pair_start, program), layer by layer, checked as it comes.
+
+    A program is 0, 1 or 2; layer k uses pair starts of k's parity; the pair
+    (s, s + 1) lies on the data wires (``qkernel._require_placement``).
+    """
     for k, layer in enumerate(layers):
         for pair_start, program in sorted(layer.items()):
             if program not in (0, 1, 2):
@@ -203,31 +224,20 @@ def hqca_run(layers, data: StateVector) -> StateVector:
             if pair_start % 2 != k % 2:
                 raise InvariantError(
                     f"layer {k} may not act on pair starting at {pair_start}")
-            qk._require_placement((pair_start, pair_start + 1), None, data.spec.dims,
-                                  "hqca pair")
-            big = np.zeros(6 * amps.size, dtype=complex)
-            block = 3 * amps.size
-            offset = block + program * amps.size  # ancilla=1, program=p
-            big[offset:offset + amps.size] = amps
-            big = qk.apply_on_wires(big, quench, [0, 1, 2 + pair_start, 3 + pair_start],
-                                    dims)
-            # Side conditions: ancilla flipped to |0>, program unchanged.
-            tens = big.reshape(dims)
-            out = tens[0, program]
-            qk._require_close(float(np.vdot(out, out).real), 1.0, 1e-9,
-                              "quench left ancilla/program registers dirty")
-            amps = out.reshape(-1)
-    return StateVector(data.spec, amps / np.linalg.norm(amps))
+            qk._require_placement((pair_start, pair_start + 1), None, dims, "hqca pair")
+            yield pair_start, program
 
 
 def hqca_direct(layers, data: StateVector) -> StateVector:
-    """Oracle circuit: apply the programmed gates directly (no ancillas, no phase)."""
+    """Oracle circuit: apply the programmed gates directly (no ancillas, no phase).
+
+    The layers follow ``hqca_run``'s program, parity and placement rules.
+    """
     amps = data.amplitudes.copy()
     dims = data.spec.dims
-    for k, layer in enumerate(layers):
-        for pair_start, program in sorted(layer.items()):
-            g = HQCA_PROGRAM_GATES[program]
-            amps = qk.apply_on_wires(amps, g, [pair_start, pair_start + 1], dims)
+    for pair_start, program in _hqca_pairs(layers, dims):
+        amps = qk.apply_on_wires(amps, HQCA_PROGRAM_GATES[program],
+                                 [pair_start, pair_start + 1], dims)
     return StateVector(data.spec, amps)
 
 

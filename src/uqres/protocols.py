@@ -14,18 +14,22 @@ runs a protocol once per outcome path for exhaustive verification, under the
 be deterministic in its source: replaying the same outcomes meets the same
 draws with the same probabilities.
 
-``pmqc_run`` runs in stages (one injection, one hop, one T gadget or the CZ)
-and has one stage hook: ``source.checkpoint(state)`` after each stage.  Under
+``pmqc_run`` runs in stages cut at its measurement draws (``Register.split``
+computes a measurement's outcomes, ``Register.take`` draws one), and has one
+stage hook: ``source.checkpoint(state)`` after each stage.  A stage boundary
+inside a gadget holds the outcome slices of the draw that comes next.  Under
 ``enumerate_runs`` a run that forks off an earlier path resumes from a copy of
-that path's state at the last stage boundary before the fork, instead of
-rebuilding the register from the root; the leaves and their bits are the
-same either way.  The run hands ``source.resume`` a builder of its root state
-(``fresh``), which is called only when the run starts from the root, so a
-resumed run never builds (or checks) a root state it would throw away.  Only
-the first protocol of a run that asks to resume is resumed or checkpointed;
-``btt`` replays from the root.  An observer (a privacy check, say) is an
-``OutcomeSource`` that overrides ``checkpoint`` and keeps the default
-``resume``: it never resumes, so it sees every stage of every leaf.
+that path's state at the stage boundary just before the fork, draws its
+prescribed outcome and goes on: it repeats no kernel call, and each
+measurement is split once per node of the outcome tree.  The leaves and their
+bits are those of a replay from the root.  The run hands ``source.resume`` a
+builder of its root state (``fresh``), which is called only when the run
+starts from the root, so a resumed run never builds (or checks) a root state
+it would throw away.  Only the first protocol of a run that asks to resume is
+resumed or checkpointed; ``btt`` replays from the root.  An observer (a
+privacy check, say) is an ``OutcomeSource`` that overrides ``checkpoint`` and
+keeps the default ``resume``: it never resumes, so it sees every stage of
+every leaf.
 
 The plain MBQC row (``mbqc_gate``) uses no register and no outcome source:
 it is the circuit ``circuits.mbqc_pattern``, run on the circuit walker, which
@@ -33,8 +37,9 @@ splits each branch once.  So ``enumerate_runs`` serves ``btt`` and
 ``pmqc_run`` only.
 
 One nonlocal T gadget (a T gate made nonlocal by one ebit and one PR box,
-``_t_link``) serves both: PMQC spends one per T gate, and ``btt`` is the
-gadget alone.  Every ebit is the read-only |omega> of ``qkernel``, appended
+``_t_link``) serves both: PMQC spends one per T gate, running its parts
+``_t_link_open`` and ``_t_link_correct`` as stages, and ``btt`` is the gadget
+alone.  Every ebit is the read-only |omega> of ``qkernel``, appended
 unchecked; the register checks only amplitudes that callers pass in.
 """
 
@@ -173,11 +178,13 @@ class OutcomeSource:
 
     A protocol that runs in stages may call ``resume`` once, before its first
     stage, and ``checkpoint`` after each stage; ``checkpoint`` is its one
-    stage hook.  Both are no-ops here, so a protocol drawing from this class
-    or ``SamplingSource`` runs from the root.  ``ReplaySource`` uses them to
-    skip the stages an earlier run of the same path has already run.  An
-    observer overrides ``checkpoint`` only: with the default ``resume`` the
-    protocol runs every stage from the root and offers each one to it.
+    stage hook.  ``pmqc_run`` cuts its stages at its draws, so a run resumed
+    from a checkpoint starts just before the draw it forks at.  Both are
+    no-ops here, so a protocol drawing from this class or ``SamplingSource``
+    runs from the root.  ``ReplaySource`` uses them to skip the stages an
+    earlier run of the same path has already run.  An observer overrides
+    ``checkpoint`` only: with the default ``resume`` the protocol runs every
+    stage from the root and offers each one to it.
     """
     probability: float
 
@@ -219,6 +226,10 @@ class ReplaySource(OutcomeSource):
     prefixes still to run, shallow draws first, each in ascending order, and
     each paired with the latest checkpoint: ``(state copy, path, probability)``
     at the last stage boundary before the draw, or ``None`` for the root.
+    For a protocol whose stages are cut at its draws (``pmqc_run``) that
+    boundary sits just before the draw, or before the measurement draw that
+    precedes a PR-box draw in the same stage, so a resumed run repeats no
+    kernel call.
 
     ``start`` is the checkpoint this run starts from.  The first protocol
     that calls ``resume`` owns the run: it gets a copy of that state, the path
@@ -275,9 +286,11 @@ def enumerate_runs(protocol_fn):
     must be deterministic in its source, since each call replays the prefix
     of an earlier one.  A staged protocol (``pmqc_run``) resumes that prefix
     from its last stage boundary before the fork rather than from the root;
-    only the first such protocol in ``protocol_fn`` is resumed.  To observe
-    every stage of every leaf, ``protocol_fn`` passes the protocol a source
-    that forwards ``draw`` and overrides ``checkpoint`` but not ``resume``.
+    its stage boundaries sit at its draws, so the resumed run repeats no
+    kernel call.  Only the first such protocol in ``protocol_fn`` is
+    resumed.  To observe every stage of every leaf, ``protocol_fn`` passes
+    the protocol a source that forwards ``draw`` and overrides
+    ``checkpoint`` but not ``resume``.
     The stack of prefixes still to run, each with its checkpoint, is bounded
     by the depth of the search.
     """
@@ -306,6 +319,18 @@ _UNIT.setflags(write=False)
 _EBIT = qk._max_entangled(2)   # (|00> + |11>) / sqrt(2), read-only, shared by every ebit
 
 
+@dataclass(frozen=True)
+class _Pending:
+    """A split measurement: outcome k has probability ``probs[k]``, amplitudes ``subs[k]``."""
+    name: str
+    wire: int
+    basis: str                    # the transcript's basis name
+    label: str
+    party: str | None
+    subs: np.ndarray
+    probs: np.ndarray
+
+
 def _normalised(amplitudes, n: int) -> np.ndarray:
     """Caller amplitudes for ``n`` fresh qubits: 2^n of them, finite norm > 0; normalised."""
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -318,19 +343,28 @@ def _normalised(amplitudes, n: int) -> np.ndarray:
 
 
 class Register:
-    """Statevector over named qubits; measurement contracts the qubit away."""
+    """Statevector over named qubits; measurement contracts the qubit away.
+
+    A measurement comes in two halves.  ``split`` computes the outcome slices
+    and their probabilities and keeps them as the register's one pending
+    measurement; ``take`` draws an outcome from a source, collapses onto it
+    and logs it.  ``measure`` is the two in a row.  While a measurement is
+    pending the register takes no other operation that changes it, so the
+    slices stay those of its state.
+    """
 
     def __init__(self):
         self.names: list[str] = []
         self.owners: dict[str, str] = {}
         self.vec = _UNIT
         self.max_live = 0
+        self.pending: _Pending | None = None
 
     def copy(self) -> "Register":
-        """A copy that shares only ``vec``, which every operation rebinds."""
+        """A copy that shares only ``vec`` and the pending measurement, both read-only."""
         new = Register()
         new.names, new.owners = list(self.names), dict(self.owners)
-        new.vec, new.max_live = self.vec, self.max_live
+        new.vec, new.max_live, new.pending = self.vec, self.max_live, self.pending
         return new
 
     def index(self, name: str) -> int:
@@ -339,12 +373,17 @@ class Register:
         except ValueError:
             raise InvariantError(f"no live qubit named {name!r}") from None
 
+    def _settled(self) -> None:
+        if self.pending is not None:
+            raise InvariantError(f"measurement of {self.pending.name!r} is pending")
+
     def _grow(self, names, owners, amps: np.ndarray) -> None:
         """Append fresh qubits in the joint state ``amps``, trusted as normalised.
 
         The name and cap checks run before the register changes, so a
         rejected call leaves it as it was.
         """
+        self._settled()
         names = list(names)
         if len(set(names)) != len(names) or any(n in self.names for n in names):
             raise InvariantError(f"qubit names {names} are not fresh and distinct")
@@ -369,6 +408,7 @@ class Register:
 
     def apply(self, u: np.ndarray, names, party: str | None = None,
               transcript: Transcript | None = None, op: str = ""):
+        self._settled()
         wires = [self.index(n) for n in names]
         if party is not None:
             for n in names:
@@ -378,22 +418,38 @@ class Register:
         if transcript is not None and party is not None:
             transcript.log(party, "local-op", {"op": op, "qubits": list(names)})
 
-    def measure(self, name: str, basis, source: OutcomeSource, label: str,
-                party: str | None = None, transcript: Transcript | None = None) -> int:
+    def split(self, name: str, basis, label: str, party: str | None = None) -> None:
+        """Compute the outcomes of measuring ``name`` in ``basis``; keep them pending."""
+        self._settled()
         w = self.index(name)
         if party is not None and self.owners[name] != party:
             raise InvariantError(f"party {party} cannot measure {name!r}")
         b = qk._named_basis(basis) if isinstance(basis, str) else np.asarray(basis, dtype=complex)
         subs = qk._measure_split(self.vec, b, w, (2,) * len(self.names))
         probs = (np.abs(subs) ** 2).sum(axis=1)
-        k = source.draw(label, probs)
-        self.vec = subs[k] / math.sqrt(probs[k])
-        self.names.pop(w)
-        del self.owners[name]
-        if transcript is not None and party is not None:
-            basis_name = basis if isinstance(basis, str) else "rotated"
-            transcript.log(party, "measure", {"qubit": name, "basis": basis_name})
+        subs.setflags(write=False)
+        probs.setflags(write=False)
+        self.pending = _Pending(name, w, basis if isinstance(basis, str) else "rotated",
+                                label, party, subs, probs)
+
+    def take(self, source: OutcomeSource, transcript: Transcript | None = None) -> int:
+        """Draw the pending measurement's outcome, collapse onto it and log it."""
+        pm = self.pending
+        if pm is None:
+            raise InvariantError("no measurement is pending")
+        k = source.draw(pm.label, pm.probs)
+        self.vec = pm.subs[k] / math.sqrt(pm.probs[k])
+        self.names.pop(pm.wire)
+        del self.owners[pm.name]
+        self.pending = None
+        if transcript is not None and pm.party is not None:
+            transcript.log(pm.party, "measure", {"qubit": pm.name, "basis": pm.basis})
         return k
+
+    def measure(self, name: str, basis, source: OutcomeSource, label: str,
+                party: str | None = None, transcript: Transcript | None = None) -> int:
+        self.split(name, basis, label, party)
+        return self.take(source, transcript)
 
     def extract(self, names_in_order) -> StateVector:
         order = [self.index(n) for n in names_in_order]
@@ -401,7 +457,9 @@ class Register:
             raise InvariantError("extract must list every live qubit exactly once")
         tens = self.vec.reshape((2,) * len(self.names))
         tens = np.transpose(tens, order)
-        return StateVector(HilbertSpec((2,) * len(self.names)), tens.reshape(-1))
+        # The register is normalised by construction: no norm check.
+        return qk._trusted(StateVector, spec=HilbertSpec((2,) * len(self.names)),
+                           amplitudes=tens.reshape(-1))
 
     def reduced(self, names) -> np.ndarray:
         """Reduced density matrix of the listed live qubits (in the listed order)."""
@@ -434,26 +492,45 @@ def _s_z(s: int, z: int) -> tuple[np.ndarray, str]:
     return u, f"S^1 Z^{z}" if s else f"Z^{z}"
 
 
-def _t_link(reg: Register, tr: Transcript, source: OutcomeSource, cur: str,
-            ebit: tuple[str, str], x: _Share, box: PRBox,
-            labels: tuple[str, str]) -> tuple[int, int]:
-    """The nonlocal T gadget after the T imprint on A's qubit ``cur``; returns (c, m).
+def _t_link_open(reg: Register, tr: Transcript, cur: str, half_a: str, label: str) -> None:
+    """The nonlocal T gadget up to its first draw, after the T imprint on A's ``cur``.
 
-    A links ``cur`` onto her ebit half and Z-measures it (c, draw ``labels[0]``).
+    A links ``cur`` onto her ebit half ``half_a`` and splits its Z measurement
+    (c, draw ``label``).
+    """
+    reg.apply(qk.CX, [cur, half_a], party="A", transcript=tr, op="CX")
+    reg.split(half_a, "Z", label, party="A")
+
+
+def _t_link_correct(reg: Register, tr: Transcript, source: OutcomeSource, cur: str,
+                    half_b: str, x: _Share, box: PRBox) -> int:
+    """The nonlocal T gadget from A's draw c to B's X measurement; returns c.
+
     The PR box on (c xor x.a, x.b) splits the S byproduct's cross term into z_A
     and z_B, so A applies S^{x.a} Z^{z_A} to ``cur`` and B S^{x.b} Z^{z_B} to
-    the other half, each from local data; B's X outcome m (``labels[1]``)
-    disentangles that half.
+    ``half_b``, each from local data.  B's X outcome on ``half_b`` then
+    disentangles it.
     """
-    half_a, half_b = ebit
-    reg.apply(qk.CX, [cur, half_a], party="A", transcript=tr, op="CX")
-    c = reg.measure(half_a, "Z", source, labels[0], party="A", transcript=tr)
+    c = reg.take(source, tr)
     z_a, z_b = pr_box_call(box, c ^ x.a, x.b, source=source, transcript=tr)
     for party, qubit, s_bit, z_bit in (("A", cur, x.a, z_a), ("B", half_b, x.b, z_b)):
         u, text = _s_z(s_bit, z_bit)
         reg.apply(u, [qubit], party=party, transcript=tr, op=text)
-    m = reg.measure(half_b, "X", source, labels[1], party="B", transcript=tr)
-    return c, m
+    return c
+
+
+def _t_link(reg: Register, tr: Transcript, source: OutcomeSource, cur: str,
+            ebit: tuple[str, str], x: _Share, box: PRBox,
+            labels: tuple[str, str]) -> tuple[int, int]:
+    """The whole nonlocal T gadget after the T imprint on ``cur``; returns (c, m).
+
+    It is ``_t_link_open``, ``_t_link_correct`` and B's X measurement m
+    (``labels[1]``) of the ebit half ``ebit[1]``; ``pmqc_run`` runs the same
+    three parts as separate stages, cut at the draws.
+    """
+    _t_link_open(reg, tr, cur, ebit[0], labels[0])
+    c = _t_link_correct(reg, tr, source, cur, ebit[1], x, box)
+    return c, reg.measure(ebit[1], "X", source, labels[1], party="B", transcript=tr)
 
 
 @dataclass(frozen=True)
@@ -568,18 +645,113 @@ class _PMQCState:
     """What a pmqc run carries from one stage to the next.
 
     ``t_count`` counts the T gadgets run so far; each spent one ebit and one
-    PR box.  ``copy`` shares only what is never written in place: the
-    register vector, the frozen transcript events and the frozen rows.
+    PR box.  ``bit`` holds the one outcome that a later stage of the same
+    gadget needs (the first Bell bit of an injection, the tail bit of a hop).
+    ``copy`` shares only what is never written in place: the register vector
+    and its pending measurement, the frozen transcript events and the frozen
+    rows.
     """
 
     def __init__(self, reg: Register, rows: list[_Row], tr: Transcript,
-                 t_count: int = 0, stage: int = 0):
+                 t_count: int = 0, stage: int = 0, bit: int = 0):
         self.reg, self.rows, self.tr = reg, rows, tr
-        self.t_count, self.stage = t_count, stage
+        self.t_count, self.stage, self.bit = t_count, stage, bit
 
     def copy(self) -> "_PMQCState":
         return _PMQCState(self.reg.copy(), list(self.rows), self.tr.copy(),
-                          self.t_count, self.stage)
+                          self.t_count, self.stage, self.bit)
+
+
+# The stages of pmqc_run, three per gadget and cut at its measurement draws:
+# each stage after the first of a gadget starts by taking the measurement the
+# stage before it split, and each stage before the last ends with a split.
+# Every stage is called as stage(state, logical qubit, outcome source).
+
+def _inject_open(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    """Inject plaintext qubit q through its input-site tail: B's Bell measurement, split."""
+    reg, tr, tail = st.reg, st.tr, f"t{q}s0"
+    reg.add_ebit(f"h{q}s0", tail, "A", "B")
+    reg.apply(qk.CX, [f"pi{q}", tail], party="B", transcript=tr, op="CX")
+    reg.apply(qk.H, [f"pi{q}"], party="B", transcript=tr, op="H")
+    reg.split(f"pi{q}", "Z", f"bell{q}a", party="B")
+
+
+def _inject_mid(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    st.bit = st.reg.take(source, st.tr)
+    st.reg.split(f"t{q}s0", "Z", f"bell{q}b", party="B")
+
+
+def _inject_close(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    m2 = st.reg.take(source, st.tr)
+    st.rows.append(_Row(q, f"h{q}s0", _Share(0, m2), _Share(0, st.bit), 0))
+
+
+def _hop_open(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    """Add a tailed site; B splits the X measurement that removes its tail."""
+    site = st.rows[q].sites + 1
+    tail = f"t{q}s{site}"
+    st.reg.add_ebit(f"h{q}s{site}", tail, "A", "B")
+    st.reg.split(tail, "X", f"tail_{tail}", party="B")
+
+
+def _hop_mid(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    """Take the tail bit, add the CZ edge at A, split her X measurement of the old head."""
+    row = st.rows[q]
+    st.bit = st.reg.take(source, st.tr)
+    st.reg.apply(qk.CZ, [row.cur, f"h{q}s{row.sites + 1}"], party="A", transcript=st.tr,
+                 op="CZ")
+    st.reg.split(row.cur, "X", f"hop_{row.cur}", party="A")
+
+
+def _hop_close(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    row = st.rows[q]
+    a = st.reg.take(source, st.tr)
+    sites = row.sites + 1
+    st.rows[q] = _Row(q, f"h{q}s{sites}", _Share(row.z.a ^ a, row.z.b),
+                      _Share(row.x.a, row.x.b ^ st.bit), sites)
+
+
+def _t_open(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    """Imprint T on the current site and open the nonlocal T gadget on a fresh ebit.
+
+    The gadget (``_t_link_open``, ``_t_link_correct``) runs with the row's
+    x-frame shares: A's S-power uses only her own share, B's only hers, and
+    the box output bits z_A/z_B absorb the cross term, so the pad stays Pauli
+    with shares intact.
+    """
+    row = st.rows[q]
+    st.t_count += 1
+    n = st.t_count
+    st.reg.apply(qk.T, [row.cur], party="A", transcript=st.tr, op="T-imprint")
+    st.reg.add_ebit(f"g{n}A", f"g{n}B", "A", "B")
+    _t_link_open(st.reg, st.tr, row.cur, f"g{n}A", f"gad{n}c")
+
+
+def _t_mid(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    row, n = st.rows[q], st.t_count
+    _t_link_correct(st.reg, st.tr, source, row.cur, f"g{n}B", row.x, PRBox(box_id=n))
+    st.reg.split(f"g{n}B", "X", f"gad{n}m", party="B")
+
+
+def _t_close(st: _PMQCState, q: int, source: OutcomeSource) -> None:
+    # Pushing T through X^x Z^z gives X^x Z^{x+z} S^{-x}; the split S^x
+    # correction conjugates back through X^x, restoring Z^z exactly, so
+    # only the disentangling outcome enters the frame.
+    row = st.rows[q]
+    m_g = st.reg.take(source, st.tr)
+    st.rows[q] = _Row(q, row.cur, row.x, _Share(row.z.a, row.z.b ^ m_g), row.sites)
+
+
+def _apply_cz(st: _PMQCState, q: None, source: OutcomeSource) -> None:
+    r0, r1 = st.rows
+    st.reg.apply(qk.CZ, [r0.cur, r1.cur], party="A", transcript=st.tr, op="CZ")
+    st.rows = [_Row(r.qubit, r.cur, r.x, _Share(r.z.a ^ o.x.a, r.z.b ^ o.x.b), r.sites)
+               for r, o in ((r0, r1), (r1, r0))]
+
+
+_INJECT = (_inject_open, _inject_mid, _inject_close)
+_HOP = (_hop_open, _hop_mid, _hop_close)
+_T_GATE = (_t_open, _t_mid, _t_close) + _HOP + _HOP    # the T gadget, then two hops
 
 
 def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
@@ -592,15 +764,20 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     linearization event consuming exactly one ebit and one PR box.  The final
     broadcast lets B assemble the output pads.
 
-    The run is a list of stages (one injection, one hop, one T gadget or the
-    CZ) over one ``_PMQCState``.  It asks ``source.resume`` once for its
-    starting state, handing it ``fresh``, a builder of the root state (the
-    normalised plaintext in a new register) that is called only when the run
-    starts from the root.  It offers ``source.checkpoint`` the state after
-    each stage, its one stage hook: under ``enumerate_runs`` a replayed path
-    starts at its last stage boundary before the fork, and an observer that
-    keeps the default ``resume`` sees every stage from the root (the register
-    in ``state.reg``, the stage count in ``state.stage``).
+    The run is a list of stages over one ``_PMQCState``, cut at the
+    measurement draws: an injection, a hop and a T gadget are three stages
+    each, the CZ is one.  A stage that continues a measurement starts by
+    taking it and a stage that a measurement follows ends by splitting it,
+    so the state between two stages holds the next draw's outcome slices.  The
+    run asks ``source.resume`` once for its starting state, handing it
+    ``fresh``, a builder of the root state (the normalised plaintext in a new
+    register) that is called only when the run starts from the root.  It
+    offers ``source.checkpoint`` the state after each stage, its one stage
+    hook: under ``enumerate_runs`` a replayed path starts at the stage
+    boundary just before its fork, draws its prescribed outcome and goes on,
+    repeating no kernel call; an observer that keeps the default ``resume``
+    sees every stage from the root (the register in ``state.reg``, the stage
+    count in ``state.stage``).
     """
     programs = tuple(tuple(g.upper() for g in gates) for gates in programs)
     _validate_program(programs, cz_after)
@@ -613,63 +790,12 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
             f"program needs {t_total} ebits and PR boxes, got "
             f"{resources.ebits} ebits / {resources.pr_boxes} boxes")
 
-    def inject(st: _PMQCState, q: int) -> None:
-        """Inject plaintext qubit q through its input-site tail (Bell measurement at B)."""
-        reg, tr = st.reg, st.tr
-        head, tail = f"h{q}s0", f"t{q}s0"
-        reg.add_ebit(head, tail, "A", "B")
-        reg.apply(qk.CX, [f"pi{q}", tail], party="B", transcript=tr, op="CX")
-        reg.apply(qk.H, [f"pi{q}"], party="B", transcript=tr, op="H")
-        m1 = reg.measure(f"pi{q}", "Z", source, f"bell{q}a", party="B", transcript=tr)
-        m2 = reg.measure(tail, "Z", source, f"bell{q}b", party="B", transcript=tr)
-        st.rows.append(_Row(q, head, _Share(0, m2), _Share(0, m1), 0))
-
-    def hop(st: _PMQCState, q: int) -> None:
-        """Add a tailed site (tail removed at B, CZ edge at A), then X-measure the old head."""
-        reg, tr, row = st.reg, st.tr, st.rows[q]
-        sites = row.sites + 1
-        head, tail = f"h{q}s{sites}", f"t{q}s{sites}"
-        reg.add_ebit(head, tail, "A", "B")
-        m = reg.measure(tail, "X", source, f"tail_{tail}", party="B", transcript=tr)
-        reg.apply(qk.CZ, [row.cur, head], party="A", transcript=tr, op="CZ")
-        a = reg.measure(row.cur, "X", source, f"hop_{row.cur}", party="A", transcript=tr)
-        st.rows[q] = _Row(q, head, _Share(row.z.a ^ a, row.z.b),
-                          _Share(row.x.a, row.x.b ^ m), sites)
-
-    def t_gadget(st: _PMQCState, q: int) -> None:
-        """Imprint T on the current site and linearize the S byproduct.
-
-        Consumes one fresh ebit and one PR box through ``_t_link``, with the
-        row's x-frame shares: A's S-power uses only her own share, B's only
-        hers, and the box output bits z_A/z_B absorb the cross term, so the
-        pad stays Pauli with shares intact.
-        """
-        reg, tr, row = st.reg, st.tr, st.rows[q]
-        st.t_count += 1
-        n = st.t_count
-        reg.apply(qk.T, [row.cur], party="A", transcript=tr, op="T-imprint")
-        reg.add_ebit(f"g{n}A", f"g{n}B", "A", "B")
-        _, m_g = _t_link(reg, tr, source, row.cur, (f"g{n}A", f"g{n}B"), row.x,
-                         PRBox(box_id=n), (f"gad{n}c", f"gad{n}m"))
-        # Pushing T through X^x Z^z gives X^x Z^{x+z} S^{-x}; the split S^x
-        # correction conjugates back through X^x, restoring Z^z exactly, so
-        # only the disentangling outcome enters the frame.
-        st.rows[q] = _Row(q, row.cur, row.x, _Share(row.z.a, row.z.b ^ m_g), row.sites)
-
-    def apply_cz(st: _PMQCState, q: None) -> None:
-        r0, r1 = st.rows
-        st.reg.apply(qk.CZ, [r0.cur, r1.cur], party="A", transcript=st.tr, op="CZ")
-        st.rows = [_Row(r.qubit, r.cur, r.x, _Share(r.z.a ^ o.x.a, r.z.b ^ o.x.b), r.sites)
-                   for r, o in ((r0, r1), (r1, r0))]
-
-    stages = [(inject, q) for q in range(nq)]
+    stages = [(stage, q) for q in range(nq) for stage in _INJECT]
     for q, g in _program_order(programs, cz_after):
         if q is None:
-            stages.append((apply_cz, None))
-        elif g == "H":
-            stages.append((hop, q))
+            stages.append((_apply_cz, None))
         else:
-            stages += [(t_gadget, q), (hop, q), (hop, q)]
+            stages += [(stage, q) for stage in (_HOP if g == "H" else _T_GATE)]
 
     def fresh() -> _PMQCState:
         st = _PMQCState(Register(), [], Transcript())
@@ -679,7 +805,7 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     st = source.resume(fresh)
     while st.stage < len(stages):
         stage, q = stages[st.stage]
-        stage(st, q)
+        stage(st, q, source)
         st.stage += 1
         source.checkpoint(st)
 
@@ -693,13 +819,16 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
 
 
 def decrypt_pads(state: StateVector, keys) -> StateVector:
-    """Undo per-qubit pads X^x Z^z on consecutive qubit wires."""
+    """Undo per-qubit pads X^x Z^z on consecutive qubit wires.
+
+    Pauli pads keep a validated state normalised, so the result is unchecked.
+    """
     amps = state.amplitudes
     dims = state.spec.dims
     for q, (x, z) in enumerate(keys):
         pad = pauli_pad(PauliKey(x, z))
         amps = qk.apply_on_wires(amps, pad.conj().T, [q], dims)
-    return StateVector(state.spec, amps)
+    return qk._trusted(StateVector, spec=state.spec, amplitudes=amps)
 
 
 def program_unitary(programs, cz_after=None) -> np.ndarray:

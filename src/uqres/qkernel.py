@@ -19,8 +19,10 @@ K†K checks:
   - :func:`partial_trace`, :func:`apply_channel` and :func:`dephase` of a
     validated state (with a validated channel);
   - in other modules: the column outputs, Choi state and classical dual of a
-    validated channel (``interference``), and the Trotter product and e^{iHt}
-    of a Hermitian term sum (``hamiltonian``).
+    validated channel (``interference``), the Trotter product and e^{iHt}
+    of a Hermitian term sum (``hamiltonian``), the state that
+    ``protocols.Register.extract`` reads off a register and the one
+    ``protocols.decrypt_pads`` gets by undoing Pauli pads.
 
 Each holds its invariants up to float64 rounding of the validated inputs.  A
 channel's outputs inherit its Kraus completeness error (at most 1e-9) instead

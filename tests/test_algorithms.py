@@ -136,6 +136,34 @@ def test_one_control_past_six_qubits_builds_cu_v_blockwise(monkeypatch):
     assert np.abs(state.amplitudes[d:] - np.sqrt(eps) * u[:, 0]).max() < 1e-12
 
 
+def test_one_control_report_checks_u_once(monkeypatch):
+    # Eight data dimensions, so U is told apart from V (2 x 2) and CU (V x 1)
+    # (16 x 16) by its shape.
+    u = qk.haar_unitary(8, np.random.default_rng(13))
+    checked = []
+    require = qk._require_unitary
+
+    def spy(m, *args):
+        checked.append(m.shape)
+        return require(m, *args)
+
+    monkeypatch.setattr(qk, "_require_unitary", spy)
+    report = alg.one_control_report(u, 0.05)
+    assert checked.count((8, 8)) == 1
+    assert report.residuals["additive_decomposition"] < 1e-9
+
+
+@pytest.mark.parametrize("route", [
+    lambda u: alg.one_control_report(u, 0.05),
+    lambda u: alg.one_control_build(u, 0.05),
+    lambda u: alg.one_control_interference_decomposition(u, 0.05),
+])
+@pytest.mark.parametrize("u", [np.diag([1.0, 2.0]), np.ones((2, 3)), np.ones(2)])
+def test_one_control_rejects_a_u_that_is_not_a_square_unitary(route, u):
+    with pytest.raises(InvariantError):
+        route(u)
+
+
 def test_one_control_entanglement_small_for_small_eps():
     rng = np.random.default_rng(6)
     u = qk.haar_unitary(4, rng)

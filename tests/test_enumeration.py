@@ -1,7 +1,9 @@
 """Exhaustive protocol enumeration against the replay-from-the-root oracle.
 
 ``enumerate_runs`` calls a protocol once per leaf and resumes ``pmqc_run``
-from its last stage boundary before the fork; the oracle in
+from its last stage boundary before the fork.  Those boundaries sit at the
+draws, so a resumed run draws its prescribed outcome and repeats no kernel
+call; the counting tests below pin that.  The oracle in
 ``replay_oracle.py`` replays from the root and throws a partial run away at
 every fork.  Both must give the same leaves in the same order, bit for bit:
 probabilities, outputs, keys and transcripts.
@@ -142,38 +144,50 @@ def test_two_pmqc_runs_on_one_source_match_the_oracle(enumerations):
     assert len(enumerations[0][0]) == 1024
 
 
-def test_pmqc_resumes_from_the_last_stage_boundary(monkeypatch):
-    # [H,T] runs five stages: injection, hop, T gadget, hop, hop, with these
-    # draws and Register.measure calls each (the PR box draws but does not
-    # measure).  The root run measures all 10 times.  Each of the 2^d
-    # untried prefixes that fork at draw d resumes at the start of the stage
-    # holding that draw.
-    draws, measures = (2, 2, 3, 2, 2), (2, 2, 2, 2, 2)
-    stage_of = [s for s, n in enumerate(draws) for _ in range(n)]
-    predicted = sum(measures) + sum(2 ** d * sum(measures[stage_of[d]:])
-                                    for d in range(sum(draws)))
-    assert predicted == 5416            # replay from the root makes 2048 * 10
-    counts = {"measure": 0, "protocol": 0}
-    measure = pr.Register.measure
+def splits_and_calls(monkeypatch, programs, cz_after=None):
+    """(_measure_split calls, protocol calls, leaves) of one PMQC enumeration."""
+    counts = {"split": 0, "protocol": 0}
+    split = qk._measure_split
 
-    def counted_measure(self, *args, **kwargs):
-        counts["measure"] += 1
-        return measure(self, *args, **kwargs)
+    def counted_split(*args):
+        counts["split"] += 1
+        return split(*args)
+
+    psi = qk.random_state((2,) * len(programs), np.random.default_rng(24))
 
     def protocol(src):
         counts["protocol"] += 1
-        return pr.pmqc_run(qk.plus_state(2), [["H", "T"]], source=src)
+        return pr.pmqc_run(psi, programs, cz_after, source=src)
 
-    monkeypatch.setattr(pr.Register, "measure", counted_measure)
-    assert len(pr.enumerate_runs(protocol)) == 2048
-    assert counts == {"measure": predicted, "protocol": 2048}
+    monkeypatch.setattr(qk, "_measure_split", counted_split)
+    leaves = len(pr.enumerate_runs(protocol))
+    return counts["split"], counts["protocol"], leaves
+
+
+def test_pmqc_resumes_from_the_last_stage_boundary(monkeypatch):
+    # Stage boundaries sit at the draws, so a run that forks at draw d
+    # resumes just before it and splits only the measurements after it: each
+    # measurement draw at depth d is split once per node, 2^d times.  [H,T]
+    # draws 11 times, every draw binary: 2 per injection, 2 per hop, and the
+    # T gadget's measurement c, its PR box (depth 5, no split) and its
+    # measurement m.
+    splits, calls, leaves = splits_and_calls(monkeypatch, [["H", "T"]])
+    measured = [d for d in range(11) if d != 5]
+    assert (splits, calls, leaves) == (sum(2 ** d for d in measured), 2048, 2048)
+    assert splits == 2015                 # resuming at the start of a gadget made 5416
+
+
+def test_pmqc_resumes_at_the_draw_across_the_cz(monkeypatch):
+    # [H],[H] + CZ after (1, 1): two injections and two hops, 8 measurement
+    # draws and no PR box, so 2^8 - 1 splits for 2^8 leaves.
+    splits, calls, leaves = splits_and_calls(monkeypatch, [["H"], ["H"]], (1, 1))
+    assert (splits, calls, leaves) == (2 ** 8 - 1, 256, 256)
 
 
 def test_pmqc_builds_its_root_state_only_for_runs_from_the_root(monkeypatch):
-    # [H,T] injects in stage 0 with two draws, so 1 + 1 + 2 = 4 runs start at
-    # the root (the first run and the prefixes that fork before the first
-    # checkpoint); the other 2044 leaves resume.  Building the root state on
-    # every call would make 2048.
+    # The first stage ends with the first split, so every fork resumes from
+    # a checkpoint and only the first run starts at the root.  Building the
+    # root state on every call would make 2048.
     calls = 0
     add_state = pr.Register.add_state
 
@@ -186,7 +200,7 @@ def test_pmqc_builds_its_root_state_only_for_runs_from_the_root(monkeypatch):
     runs = pr.enumerate_runs(lambda src: pr.pmqc_run(qk.plus_state(2), [["H", "T"]],
                                                     source=src))
     assert len(runs) == 2048
-    assert calls == 4
+    assert calls == 1
 
 
 def test_leaves_share_no_transcript_or_output():

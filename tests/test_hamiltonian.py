@@ -220,6 +220,16 @@ def test_hqca_run_validation():
         ham.hqca_run([{0: 0}], qk.zero_state((2,) * 10))
 
 
+@pytest.mark.parametrize("layers", [[{-2: 1}], [{2: 1}], [{1: 1}], [{0: 3}]],
+                         ids=["negative-start", "off-the-end", "odd-start-in-layer-0",
+                              "bad-program"])
+def test_hqca_direct_keeps_the_rules_of_hqca_run(layers):
+    data = qk.zero_state((2, 2, 2))
+    for route in (ham.hqca_run, ham.hqca_direct):
+        with pytest.raises(InvariantError):
+            route(layers, data)
+
+
 def test_hqca_run_on_five_qubits_matches_direct():
     rng = np.random.default_rng(11)
     data = qk.random_state((2,) * 5, rng)

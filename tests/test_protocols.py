@@ -195,9 +195,11 @@ def test_pmqc_rejects_bad_programs():
 
 def test_pmqc_key_privacy_exhaustive():
     # Averaged over everything B-local, A's live qubits are maximally mixed at
-    # every stage boundary.
+    # every stage boundary.  Stages are cut at the draws, three per gadget:
+    # [T] is an injection, the T gadget and two hops, [H,H] an injection and
+    # two hops.
     rng = np.random.default_rng(11)
-    for programs, stages in (([["T"]], 4), ([["H", "H"]], 3)):
+    for programs, stages in (([["T"]], 12), ([["H", "H"]], 9)):
         psi = qk.random_state((2,), rng)
 
         def run(source):
@@ -311,3 +313,70 @@ def test_transcript_json_lines():
     import json
     doc = json.loads(lines[0])
     assert doc["party"] == "A" and doc["t"] == 0
+
+
+@pytest.fixture
+def norm_checks(monkeypatch):
+    """Count the norm checks: StateVector's constructor and the register's caller route."""
+    counts = {"StateVector": 0, "register": 0}
+    post_init, normalised = qk.StateVector.__post_init__, pr._normalised
+
+    def spy_post_init(self):
+        counts["StateVector"] += 1
+        post_init(self)
+
+    def spy_normalised(*args):
+        counts["register"] += 1
+        return normalised(*args)
+
+    monkeypatch.setattr(qk.StateVector, "__post_init__", spy_post_init)
+    monkeypatch.setattr(pr, "_normalised", spy_normalised)
+    return counts
+
+
+def test_leaf_states_are_built_without_a_norm_check(norm_checks):
+    reg = pr.Register()
+    reg.add_ebit("a", "b")
+    norm_checks.update(StateVector=0, register=0)
+    out = reg.extract(["b", "a"])
+    dec = pr.decrypt_pads(out, [(1, 0), (1, 1)])
+    assert norm_checks == {"StateVector": 0, "register": 0}
+    assert not out.amplitudes.flags.writeable and not dec.amplitudes.flags.writeable
+    assert np.abs(dec.amplitudes - np.array([1, 0, 0, -1]) / np.sqrt(2)).max() < 1e-15
+
+
+def test_caller_amplitudes_are_norm_checked_once_per_route(norm_checks):
+    qk.StateVector(qk.HilbertSpec((2,)), np.array([1.0, 0.0]))
+    assert norm_checks == {"StateVector": 1, "register": 0}
+    reg = pr.Register()
+    reg.add_qubit("q", "A", [0.0, 2.0])
+    assert norm_checks == {"StateVector": 1, "register": 1}
+    reg.add_state(["r", "s"], "B", [1.0, 0.0, 0.0, 1.0])
+    assert norm_checks == {"StateVector": 1, "register": 2}
+
+
+def test_an_enumeration_checks_its_plaintext_once(norm_checks):
+    psi = qk.random_state((2,), np.random.default_rng(25))
+    norm_checks.update(StateVector=0, register=0)
+    runs = enumerate_runs(lambda src: pr.pmqc_run(psi, [["H"]], source=src))
+    assert len(runs) == 16
+    assert norm_checks == {"StateVector": 0, "register": 1}
+
+
+def test_a_measurement_is_split_then_taken():
+    reg = pr.Register()
+    reg.add_ebit("a", "b")
+    with pytest.raises(InvariantError):
+        reg.take(SamplingSource(np.random.default_rng(0)))
+    reg.split("a", "Z", "m", party="A")
+    copy = reg.copy()
+    assert copy.pending is reg.pending and not reg.pending.probs.flags.writeable
+    for op in (lambda: reg.apply(qk.X, ["b"]), lambda: reg.add_ebit("c", "d"),
+               lambda: reg.split("b", "Z", "n")):
+        with pytest.raises(InvariantError):
+            op()
+    tr = Transcript()
+    k = reg.take(SamplingSource(np.random.default_rng(0)), tr)
+    assert reg.names == ["b"] and reg.pending is None and copy.names == ["a", "b"]
+    assert [e.payload for e in tr.events] == [{"qubit": "a", "basis": "Z"}]
+    assert abs(reg.vec[k]) == pytest.approx(1.0)
