@@ -112,10 +112,15 @@ def one_control_build(u, epsilon: float) -> tuple[Circuit, StateVector]:
 
 
 def _one_control_terms(u: UnitaryOp, v: np.ndarray) -> tuple[float, float, float]:
-    """(residual |I(CU (V_eps x 1)) - I(V_eps) - I(U)/2|, I(V_eps), I(U)), relative entropy."""
+    """(residual |I(CU (V_eps x 1)) - I(V_eps) - I(U)/2|, I(V_eps), I(U)), relative entropy.
+
+    CU (V x 1) is built from the checked U and V, so it is unitary by
+    construction and is passed on unchecked; its spec still checks the cap.
+    """
     eye = np.eye(u.dim, dtype=complex)   # CU (V x 1), blockwise: no d x d product
     m = u.matrix
-    whole = np.block([[v[0, 0] * eye, v[0, 1] * eye], [v[1, 0] * m, v[1, 1] * m]])
+    whole = qk._trusted(UnitaryOp, spec=HilbertSpec((2 * u.dim,)), matrix=np.block(
+        [[v[0, 0] * eye, v[0, 1] * eye], [v[1, 0] * m, v[1, 1] * m]]))
     i_whole, i_v, i_u = (itf.interference_power(whole), itf.interference_power(v),
                          itf.interference_power(u))
     return float(abs(i_whole - i_v - 0.5 * i_u)), i_v, i_u

@@ -20,7 +20,9 @@ bytes are the C encoder's.  Lists are written number by number.
 Every integer field of an input document or config is read by one rule
 (``qkernel._json_int``): a bool, a float or a string is a parse error, never
 truncated; every real scalar (``qkernel._json_float``) takes a JSON number
-only, so a bool or a string is a parse error too.  ``--cap`` is the one size
+only, so a bool or a string is a parse error too; and a bool inside a list,
+such as an entry of an ``[re, im]`` pair, is one wherever it appears
+(``_load_json``).  ``--cap`` is the one size
 rule: it bounds every register read from an input (states, circuits, term
 sums, raw matrices) or sized by a config (the grover, one-control, sandwich
 and mbqc registers) when it is read.  Loop counts have fixed
@@ -131,13 +133,32 @@ def _bounded(count: int, bound: int, what: str) -> int:
 
 
 def _load_json(path: str) -> dict:
+    """The document in ``path``; one that holds a bool inside a list is malformed.
+
+    No input reads a list of bools, and numpy would read a bool inside an
+    ``[re, im]`` pair as 0 or 1, so a bool may appear only as a flag such as
+    ``adaptive``.  The tree is walked only when the text holds ``true`` or
+    ``false``, so a document of numbers costs two substring scans.
+    """
     # ValueError covers invalid JSON, bytes that are not UTF-8 and an integer
     # of more than 4300 digits, which Python refuses to convert.
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except (OSError, ValueError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
+    if "true" in text or "false" in text:
+        stack = [doc]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict):
+                stack.extend(node.values())
+            elif isinstance(node, list):
+                if any(v is True or v is False for v in node):
+                    raise ParseFailure(f"{path} holds a bool inside a list")
+                stack.extend(node)
+    return doc
 
 
 def _report(args, results) -> dict:

@@ -23,13 +23,21 @@ that path's state at the stage boundary just before the fork, draws its
 prescribed outcome and goes on: it repeats no kernel call, and each
 measurement is split once per node of the outcome tree.  The leaves and their
 bits are those of a replay from the root.  The run hands ``source.resume`` a
-builder of its root state (``fresh``), which is called only when the run
-starts from the root, so a resumed run never builds (or checks) a root state
-it would throw away.  Only the first protocol of a run that asks to resume is
-resumed or checkpointed; ``btt`` replays from the root.  An observer (a
-privacy check, say) is an ``OutcomeSource`` that overrides ``checkpoint`` and
-keeps the default ``resume``: it never resumes, so it sees every stage of
-every leaf.
+builder of its root state (``fresh``) that also does all of the run's setup
+(the program, plaintext and resource checks and the stage list, which the
+state carries).  It is called only when the run starts from the root, so an
+enumeration sets up once, and a resumed run never builds (or checks) a root
+state it would throw away.  A checkpoint is only marked; the snapshot (a
+copy of the state) is taken at the next draw, and only if that draw forks.
+So an enumeration copies a state at most once per measurement node and once
+per resumed run, never at a boundary that no fork resumes (one after a
+gadget's last stage, or the run's last).  That needs one rule of a staged
+protocol, stated in ``OutcomeSource``: the first draw after a checkpoint finds
+the state as it was offered.  Only the first protocol of a run that asks to
+resume is resumed or checkpointed; ``btt`` replays from the root.  An observer
+(a privacy check, say) is an ``OutcomeSource`` that overrides ``checkpoint``
+and keeps the default ``resume``: it never resumes, so it sees every stage of
+every leaf, the last one included.
 
 The plain MBQC row (``mbqc_gate``) uses no register and no outcome source:
 it is the circuit ``circuits.mbqc_pattern``, run on the circuit walker, which
@@ -142,8 +150,8 @@ class Transcript:
 
     def copy(self) -> "Transcript":
         """A copy with its own event list; the frozen events are shared."""
-        new = Transcript()
-        new.events = list(self.events)
+        new = object.__new__(Transcript)
+        new.events = self.events[:]
         return new
 
     def to_json_lines(self) -> list[str]:
@@ -185,6 +193,14 @@ class OutcomeSource:
     earlier run of the same path has already run.  An observer overrides
     ``checkpoint`` only: with the default ``resume`` the protocol runs every
     stage from the root and offers each one to it.
+
+    A staged protocol keeps one rule: a state it offers to ``checkpoint`` is
+    as it was offered when the source next draws, unless the protocol has
+    offered it again since; and the state it offers last stays as it is
+    after the protocol returns.  ``ReplaySource`` relies on it: it copies a
+    checkpointed state only when the next draw forks from it, so a checkpoint
+    that no fork follows (the last one of a run, or one whose next stage
+    splits again before it draws) costs no copy.
     """
     probability: float
 
@@ -198,7 +214,10 @@ class OutcomeSource:
         """The state to run from: a restored copy of a checkpoint, or ``fresh()``.
 
         ``fresh`` builds the root state; it is called only when the run
-        starts from the root, as it always does here.
+        starts from the root, as it always does here.  A staged protocol does
+        its path-independent setup (argument checks, its stage list) in
+        ``fresh`` and carries the result on the state, so that setup runs
+        once per run from the root.
         """
         return fresh()
 
@@ -224,12 +243,19 @@ class ReplaySource(OutcomeSource):
 
     Past the prefix, the lower allowed outcomes are kept in ``untried`` as the
     prefixes still to run, shallow draws first, each in ascending order, and
-    each paired with the latest checkpoint: ``(state copy, path, probability)``
-    at the last stage boundary before the draw, or ``None`` for the root.
-    For a protocol whose stages are cut at its draws (``pmqc_run``) that
-    boundary sits just before the draw, or before the measurement draw that
-    precedes a PR-box draw in the same stage, so a resumed run repeats no
-    kernel call.
+    each paired with the checkpoint it resumes from: ``(state copy, path,
+    probability)`` at the last stage boundary before the draw, or ``None``
+    for the root.  For a protocol whose stages are cut at its draws
+    (``pmqc_run``) that boundary sits just before the draw, or before the
+    measurement draw that precedes a PR-box draw in the same stage, so a
+    resumed run repeats no kernel call.
+
+    A checkpoint is only marked when it is offered.  The snapshot (the copy
+    of the state) is taken at the first draw after it, and only if that draw
+    forks; any draw clears the mark.  A checkpoint whose next draw does not
+    fork is never copied, and the forks that follow in the same stage resume
+    from the snapshot before it.  This relies on the rule in
+    ``OutcomeSource``: the state has not changed since it was offered.
 
     ``start`` is the checkpoint this run starts from.  The first protocol
     that calls ``resume`` owns the run: it gets a copy of that state, the path
@@ -245,6 +271,7 @@ class ReplaySource(OutcomeSource):
         self.path: list[tuple[str, int]] = []
         self.untried: list[tuple[tuple[int, ...], tuple | None]] = []
         self._latest = start
+        self._marked = None
         self._owner = None
 
     def draw(self, label, probs):
@@ -254,15 +281,19 @@ class ReplaySource(OutcomeSource):
             k = self.prefix[depth]
         else:
             *lower, k = qk._fork_outcomes(p)
-            taken = tuple(j for _, j in self.path)
-            self.untried.extend((taken + (j,), self._latest) for j in lower)
+            if lower:
+                if self._marked is not None:
+                    self._latest = (self._marked.copy(), self.path[:], self.probability)
+                taken = tuple(j for _, j in self.path)
+                self.untried.extend((taken + (j,), self._latest) for j in lower)
+        self._marked = None
         self.probability *= p[k]
         self.path.append((label, k))
         return k
 
     def checkpoint(self, state):
         if state is self._owner:
-            self._latest = (state.copy(), list(self.path), self.probability)
+            self._marked = state
 
     def resume(self, fresh):
         if self._owner is not None:
@@ -287,10 +318,13 @@ def enumerate_runs(protocol_fn):
     of an earlier one.  A staged protocol (``pmqc_run``) resumes that prefix
     from its last stage boundary before the fork rather than from the root;
     its stage boundaries sit at its draws, so the resumed run repeats no
-    kernel call.  Only the first such protocol in ``protocol_fn`` is
-    resumed.  To observe every stage of every leaf, ``protocol_fn`` passes
-    the protocol a source that forwards ``draw`` and overrides
-    ``checkpoint`` but not ``resume``.
+    kernel call.  Its root state, and with it its setup, is built only by the
+    first call, the one that starts at the root.  A state is copied once
+    where a fork resumes it (a snapshot, taken at the forking draw) and once
+    per run resumed from it, never at a stage boundary that no fork follows.
+    Only the first such protocol in ``protocol_fn`` is resumed.  To observe
+    every stage of every leaf, ``protocol_fn`` passes the protocol a source
+    that forwards ``draw`` and overrides ``checkpoint`` but not ``resume``.
     The stack of prefixes still to run, each with its checkpoint, is bounded
     by the depth of the search.
     """
@@ -362,8 +396,8 @@ class Register:
 
     def copy(self) -> "Register":
         """A copy that shares only ``vec`` and the pending measurement, both read-only."""
-        new = Register()
-        new.names, new.owners = list(self.names), dict(self.owners)
+        new = object.__new__(Register)
+        new.names, new.owners = self.names[:], self.owners.copy()
         new.vec, new.max_live, new.pending = self.vec, self.max_live, self.pending
         return new
 
@@ -452,14 +486,24 @@ class Register:
         return self.take(source, transcript)
 
     def extract(self, names_in_order) -> StateVector:
-        order = [self.index(n) for n in names_in_order]
-        if sorted(order) != list(range(len(self.names))):
+        """The live qubits in the listed order, as a state built without checks.
+
+        The register is normalised by construction, and ``_grow`` bounds its
+        dimension by the cap, so neither the norm nor the spec is checked
+        again.  The vector is read as it is when the order is the register's.
+        """
+        n = len(self.names)
+        if not n:
+            raise InvariantError("extract needs a live qubit")
+        order = [self.index(q) for q in names_in_order]
+        wires = list(range(n))
+        if sorted(order) != wires:
             raise InvariantError("extract must list every live qubit exactly once")
-        tens = self.vec.reshape((2,) * len(self.names))
-        tens = np.transpose(tens, order)
-        # The register is normalised by construction: no norm check.
-        return qk._trusted(StateVector, spec=HilbertSpec((2,) * len(self.names)),
-                           amplitudes=tens.reshape(-1))
+        amps = self.vec
+        if order != wires:
+            amps = amps.reshape((2,) * n).transpose(order).reshape(-1)
+        return qk._trusted(StateVector, spec=qk._trusted(HilbertSpec, dims=(2,) * n),
+                           amplitudes=amps)
 
     def reduced(self, names) -> np.ndarray:
         """Reduced density matrix of the listed live qubits (in the listed order)."""
@@ -644,21 +688,22 @@ def _program_order(programs, cz_after):
 class _PMQCState:
     """What a pmqc run carries from one stage to the next.
 
+    ``stages`` is the run's stage list, built once with the root state.
     ``t_count`` counts the T gadgets run so far; each spent one ebit and one
     PR box.  ``bit`` holds the one outcome that a later stage of the same
     gadget needs (the first Bell bit of an injection, the tail bit of a hop).
-    ``copy`` shares only what is never written in place: the register vector
-    and its pending measurement, the frozen transcript events and the frozen
-    rows.
+    ``copy`` shares only what is never written in place: the stage tuple,
+    the register vector and its pending measurement, the frozen transcript
+    events and the frozen rows.
     """
 
-    def __init__(self, reg: Register, rows: list[_Row], tr: Transcript,
+    def __init__(self, reg: Register, rows: list[_Row], tr: Transcript, stages: tuple,
                  t_count: int = 0, stage: int = 0, bit: int = 0):
-        self.reg, self.rows, self.tr = reg, rows, tr
+        self.reg, self.rows, self.tr, self.stages = reg, rows, tr, stages
         self.t_count, self.stage, self.bit = t_count, stage, bit
 
     def copy(self) -> "_PMQCState":
-        return _PMQCState(self.reg.copy(), list(self.rows), self.tr.copy(),
+        return _PMQCState(self.reg.copy(), self.rows[:], self.tr.copy(), self.stages,
                           self.t_count, self.stage, self.bit)
 
 
@@ -770,46 +815,54 @@ def pmqc_run(plaintext: StateVector, programs, cz_after=None, *,
     taking it and a stage that a measurement follows ends by splitting it,
     so the state between two stages holds the next draw's outcome slices.  The
     run asks ``source.resume`` once for its starting state, handing it
-    ``fresh``, a builder of the root state (the normalised plaintext in a new
-    register) that is called only when the run starts from the root.  It
-    offers ``source.checkpoint`` the state after each stage, its one stage
-    hook: under ``enumerate_runs`` a replayed path starts at the stage
-    boundary just before its fork, draws its prescribed outcome and goes on,
-    repeating no kernel call; an observer that keeps the default ``resume``
-    sees every stage from the root (the register in ``state.reg``, the stage
-    count in ``state.stage``).
+    ``fresh``, the builder of the root state.  ``fresh`` does all of the
+    run's setup: it checks the program, the plaintext and ``resources``,
+    builds the stage list, and puts the normalised plaintext in a new
+    register.  It is called only when the run starts from the root, so under
+    ``enumerate_runs`` the setup runs once per enumeration, and a run that
+    resumes reads the stage list off its state.  The run offers
+    ``source.checkpoint`` the state after each stage, its one stage hook, and
+    keeps the rule in ``OutcomeSource``: a stage either starts with a draw
+    (taking the pending measurement) or draws nothing and is offered again
+    when it ends, and the broadcast goes into a copy of the transcript, so
+    the state offered last is never changed.  Under ``enumerate_runs`` a
+    replayed path starts at the stage boundary just before its fork, draws
+    its prescribed outcome and goes on, repeating no kernel call, and a
+    snapshot is taken only at a boundary that a fork resumes.  An observer that keeps the default
+    ``resume`` sees every stage from the root, the last one included (the
+    register in ``state.reg``, the stage count in ``state.stage``).
     """
-    programs = tuple(tuple(g.upper() for g in gates) for gates in programs)
-    _validate_program(programs, cz_after)
-    nq = len(programs)
-    if plaintext.spec.dims != (2,) * nq:
-        raise InvariantError(f"plaintext must be {nq} qubits")
-    t_total = sum(g == "T" for gates in programs for g in gates)
-    if resources is not None and (resources.ebits < t_total or resources.pr_boxes < t_total):
-        raise ResourceError(
-            f"program needs {t_total} ebits and PR boxes, got "
-            f"{resources.ebits} ebits / {resources.pr_boxes} boxes")
-
-    stages = [(stage, q) for q in range(nq) for stage in _INJECT]
-    for q, g in _program_order(programs, cz_after):
-        if q is None:
-            stages.append((_apply_cz, None))
-        else:
-            stages += [(stage, q) for stage in (_HOP if g == "H" else _T_GATE)]
-
     def fresh() -> _PMQCState:
-        st = _PMQCState(Register(), [], Transcript())
+        progs = tuple(tuple(g.upper() for g in gates) for gates in programs)
+        _validate_program(progs, cz_after)
+        nq = len(progs)
+        if plaintext.spec.dims != (2,) * nq:
+            raise InvariantError(f"plaintext must be {nq} qubits")
+        t_total = sum(g == "T" for gates in progs for g in gates)
+        if resources is not None and (resources.ebits < t_total
+                                      or resources.pr_boxes < t_total):
+            raise ResourceError(
+                f"program needs {t_total} ebits and PR boxes, got "
+                f"{resources.ebits} ebits / {resources.pr_boxes} boxes")
+        stages = [(stage, q) for q in range(nq) for stage in _INJECT]
+        for q, g in _program_order(progs, cz_after):
+            if q is None:
+                stages.append((_apply_cz, None))
+            else:
+                stages += [(stage, q) for stage in (_HOP if g == "H" else _T_GATE)]
+        st = _PMQCState(Register(), [], Transcript(), tuple(stages))
         st.reg.add_state([f"pi{q}" for q in range(nq)], "B", plaintext.amplitudes)
         return st
 
     st = source.resume(fresh)
+    stages = st.stages
     while st.stage < len(stages):
         stage, q = stages[st.stage]
         stage(st, q, source)
         st.stage += 1
         source.checkpoint(st)
 
-    rows, tr = st.rows, st.tr
+    rows, tr = st.rows, st.tr.copy()
     tr.log("A", "broadcast",
            {"payload": {f"shares_q{r.qubit}": [r.x.a, r.z.a] for r in rows}})
     tr.log("B", "broadcast", {"payload": {}})

@@ -7,7 +7,7 @@ never mutated afterwards.  All entropies and logarithms in this package are base
 Validation happens once, where an object enters from the user: the public
 constructors, the JSON decoders, :func:`apply_unitary` (whose matrix is raw),
 :func:`random_density` and :func:`maximally_mixed` run the full checks, and a
-:class:`HilbertSpec` (with its cap check) is always built.  Results whose
+:class:`HilbertSpec` (with its cap check) is built for every input.  Results whose
 invariants follow from inputs that were already validated are built by the
 private ``_trusted`` constructor, which skips the O(d^3) eigenvalue, U†U and
 K†K checks:
@@ -21,7 +21,8 @@ K†K checks:
   - in other modules: the column outputs, Choi state and classical dual of a
     validated channel (``interference``), the Trotter product and e^{iHt}
     of a Hermitian term sum (``hamiltonian``), the state that
-    ``protocols.Register.extract`` reads off a register and the one
+    ``protocols.Register.extract`` reads off a register (its spec too: the
+    register checked the cap as it grew) and the one
     ``protocols.decrypt_pads`` gets by undoing Pauli pads.
 
 Each holds its invariants up to float64 rounding of the validated inputs.  A
@@ -136,24 +137,31 @@ def _trusted(cls, **values):
 
     Only for objects that are valid by construction from validated inputs (see
     the module docstring).  Arrays are frozen in place, not copied, so callers
-    pass arrays that nothing else writes to.
+    pass arrays that nothing else writes to.  A :class:`HilbertSpec` built
+    here skips its cap check too, so its caller must bound the dimension: a
+    protocol leaf's spec, for one, is bounded by ``Register._grow``.  It runs
+    once per leaf of an enumeration, so it reads the field table
+    (``__dataclass_fields__``; no domain type has a ``ClassVar``) directly.
     """
-    def frozen(a):
-        a = np.asarray(a, dtype=complex)
-        a.setflags(write=False)
-        return a
-
     obj = object.__new__(cls)
-    for f in dataclasses.fields(cls):
-        value = values.get(f.name, f.default)
+    for name, f in cls.__dataclass_fields__.items():
+        value = values.get(name, f.default)
         if value is dataclasses.MISSING:
-            raise TypeError(f"{cls.__name__} needs {f.name!r}")
+            raise TypeError(f"{cls.__name__} needs {name!r}")
         if isinstance(value, np.ndarray):
-            value = frozen(value)
-        elif isinstance(value, tuple) and all(isinstance(v, np.ndarray) for v in value):
-            value = tuple(frozen(v) for v in value)
-        object.__setattr__(obj, f.name, value)
+            value = _frozen(value)
+        elif (isinstance(value, tuple) and value and isinstance(value[0], np.ndarray)
+              and all(isinstance(v, np.ndarray) for v in value)):
+            value = tuple(map(_frozen, value))
+        object.__setattr__(obj, name, value)
     return obj
+
+
+def _frozen(a) -> np.ndarray:
+    """``a`` as a complex array, made read-only in place."""
+    a = np.asarray(a, dtype=complex)
+    a.setflags(write=False)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +563,22 @@ def apply_on_wires(amps: np.ndarray, m: np.ndarray, wires, dims) -> np.ndarray:
     ``amps`` has shape (D,) + batch: axis 0 is the composite index over
     ``dims`` and every trailing batch column is transformed alike.  The index
     bookkeeping is plain Python, since on small registers it costs more than
-    the product itself.
+    the product itself.  Leading wires in order need no transpose, so the
+    product then reads ``amps`` as it lies, which is the same array the
+    transpose would give.
     """
     dims = tuple(dims)
+    wires = list(wires)
+    if wires == list(range(len(wires))):
+        return (m @ amps.reshape(math.prod(dims[:len(wires)]), -1)).reshape(amps.shape)
     n = len(dims)
     batch = amps.shape[1:]
-    perm = [*wires, *(w for w in range(n) if w not in wires), *range(n, n + len(batch))]
+    perm = wires + [w for w in range(n) if w not in wires] + list(range(n, n + len(batch)))
     inverse = [0] * len(perm)
     for i, axis in enumerate(perm):
         inverse[axis] = i
     flat = amps.reshape(dims + batch).transpose(perm).reshape(
-        math.prod(dims[w] for w in wires), -1)
+        math.prod([dims[w] for w in wires]), -1)
     return (m @ flat).reshape([dims[a] for a in perm[:n]] + list(batch)).transpose(
         inverse).reshape(amps.shape)
 
@@ -577,11 +590,13 @@ def _measure_split(amps: np.ndarray, basis: np.ndarray, wire: int, dims) -> np.n
     the measured wire contracted away, shape (D / d_wire,) + batch for
     ``amps`` of shape (D,) + batch.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     batch = amps.shape[1:]
     d = dims[wire]
-    axes = [wire] + [a for a in range(len(dims) + len(batch)) if a != wire]
-    tens = amps.reshape(dims + batch).transpose(axes)
+    tens = amps
+    if wire:        # wire 0 already leads
+        axes = [wire] + [a for a in range(len(dims) + len(batch)) if a != wire]
+        tens = amps.reshape(dims + batch).transpose(axes)
     return (basis.conj().T @ tens.reshape(d, -1)).reshape((d, -1) + batch)
 
 

@@ -129,6 +129,7 @@ def test_one_control_past_six_qubits_builds_cu_v_blockwise(monkeypatch):
     report = alg.one_control_report(u, eps)
     kron_route = Multiplexer((np.eye(d, dtype=complex), u)).matrix @ np.kron(
         alg.rotation_v(eps), np.eye(d))
+    seen = [e.matrix if isinstance(e, qk.UnitaryOp) else e for e in seen]
     assert any(e.shape == kron_route.shape and np.array_equal(e, kron_route) for e in seen)
     assert report.parameters["data_dim"] == d
     assert report.residuals["additive_decomposition"] < 1e-9
@@ -151,6 +152,22 @@ def test_one_control_report_checks_u_once(monkeypatch):
     report = alg.one_control_report(u, 0.05)
     assert checked.count((8, 8)) == 1
     assert report.residuals["additive_decomposition"] < 1e-9
+
+
+def test_one_control_report_checks_no_operator_it_builds(monkeypatch):
+    # CU (V x 1) (16 x 16) is built from the checked U (8 x 8) and V (2 x 2),
+    # so U is the only operator of more than two rows checked for unitarity.
+    u = qk.haar_unitary(8, np.random.default_rng(14))
+    checked = []
+    require = qk._require_unitary
+
+    def spy(m, *args):
+        checked.append(m.shape)
+        return require(m, *args)
+
+    monkeypatch.setattr(qk, "_require_unitary", spy)
+    alg.one_control_report(u, 0.05)
+    assert [shape for shape in checked if shape != (2, 2)] == [(8, 8)]
 
 
 @pytest.mark.parametrize("route", [

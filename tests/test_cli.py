@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +324,9 @@ MALFORMED = {
         {"sites": [0], "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}]}),
     "amplitude-with-three-numbers": ("measure", {"dims": [2], "amplitudes": [
         [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]]}),
+    # numpy alone reads these as the numbers 1 and 0, so this ran and reported |0>.
+    "amplitude-pair-of-bools": ("measure", {"dims": [2], "amplitudes": [
+        [True, False], [0.0, 0.0]]}),
     "hqca-layer-value-a-float": ("hamiltonian hqca", {"layers": [{"0": 1.0}], "data": {
         "dims": [2, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
     "hqca-layer-value-a-bool": ("hamiltonian hqca", {"layers": [{"0": True}], "data": {
@@ -773,3 +778,57 @@ def test_fuzzed_input_documents_exit_cleanly(tmp_path_factory, swap):
     code = run(command.split() + ["--in", str(folder / "fuzz_doc.json"), "--cap", "64",
                                   "--out", str(folder / "fuzz_report.json")])
     assert code in (0, 2, 3, 4), (command, path, value)
+
+
+LISTED_BOOLS = st.sampled_from(INPUT_DOCUMENTS).flatmap(lambda case: st.tuples(
+    st.just(case), st.sampled_from([p for p in _paths(case[1]) if isinstance(p[-1], int)]),
+    st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(LISTED_BOOLS)
+@example((INPUT_DOCUMENTS[4], ("amplitudes", 0, 0), True))
+@example((INPUT_DOCUMENTS[2], ("matrix", 1, 1, 1), False))
+def test_fuzzed_bool_inside_a_list_exits_2(tmp_path_factory, swap):
+    # No input reads a bool from a list: an entry of an [re, im] pair, a
+    # dimension, a wire or a whole list entry swapped for a bool exits 2.
+    (command, doc), path, value = swap
+    folder = tmp_path_factory.getbasetemp()
+    write_json(folder / "fuzz_doc.json", _swapped(doc, path, value))
+    code = run(command.split() + ["--in", str(folder / "fuzz_doc.json"),
+                                  "--out", str(folder / "fuzz_report.json")])
+    assert code == 2, (command, path, value)
+
+
+# README's exit-code contract --------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_rows():
+    """The cells of every table row in README's exit-code section."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("Exit codes:"):text.index("## Demos")]
+    rows = [[c.strip() for c in line.strip()[1:-1].split("|")]
+            for line in section.splitlines() if line.startswith("| ")]
+    return [cells for cells in rows if cells[0] not in ("Exit", "Limit")]
+
+
+def test_readme_examples_exit_as_documented(tmp_path):
+    ran = set()
+    for cells in readme_rows():
+        (code,) = [int(c[1]) for c in cells if re.fullmatch(r"`[0-4]`", c)]
+        (command,) = [c for c in cells if c.startswith("`uqres ")]
+        doc = cells[-1]
+        if not doc.startswith("`{"):
+            # An input too long for the table names the test that runs it.
+            (name,) = re.findall(r"`(test_\w+)`", doc)
+            assert callable(globals()[name]), name
+            continue
+        path = tmp_path / f"in{len(ran)}.json"
+        path.write_text(doc.strip("`"), encoding="utf-8")
+        argv = command.strip("`").split()[1:]
+        argv = [str(path) if a == "in.json" else a for a in argv]
+        assert run(argv + ["--out", str(tmp_path / "report.json")]) == code, command
+        ran.add((code, command))
+    assert {code for code, _ in ran} == {0, 2, 3, 4} and len(ran) >= 7

@@ -203,6 +203,113 @@ def test_pmqc_builds_its_root_state_only_for_runs_from_the_root(monkeypatch):
     assert calls == 1
 
 
+def test_pmqc_sets_up_once_and_copies_only_where_a_fork_resumes(monkeypatch):
+    # One [H,T] enumeration.  The setup (program check, stage list) runs in
+    # the root builder, so once.  A state is copied once per resumed run
+    # (2,047) and once per measurement node, where the draw forks (2,015);
+    # copying at every stage boundary made 6,770.
+    counts = {"validate": 0, "copy": 0}
+    validate, copy = pr._validate_program, pr._PMQCState.copy
+
+    def counted_validate(*args):
+        counts["validate"] += 1
+        return validate(*args)
+
+    def counted_copy(self):
+        counts["copy"] += 1
+        return copy(self)
+
+    monkeypatch.setattr(pr, "_validate_program", counted_validate)
+    monkeypatch.setattr(pr._PMQCState, "copy", counted_copy)
+    assert splits_and_calls(monkeypatch, [["H", "T"]]) == (2015, 2048, 2048)
+    assert counts["validate"] == 1
+    assert counts["copy"] <= 2047 + 2015
+
+
+def raised(call):
+    with pytest.raises(qk.UqresError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("dims, programs, resources, error", [
+    ((2,), [["H", "S"]], None, qk.InvariantError),
+    ((2,), [["H"] * 5], None, qk.InvariantError),
+    ((2, 2), [["H"]], None, qk.InvariantError),
+    ((2,), [["T", "T"]], pr.PMQCResources(ebits=1, pr_boxes=1), qk.ResourceError),
+])
+def test_pmqc_setup_errors_do_not_depend_on_the_source(dims, programs, resources, error):
+    psi = qk.random_state(dims, np.random.default_rng(26))
+
+    def run(src):
+        return pr.pmqc_run(psi, programs, source=src, resources=resources)
+
+    errors = {
+        raised(lambda: run(pr.SamplingSource(np.random.default_rng(0)))),
+        raised(lambda: pr.enumerate_runs(run)),
+        raised(lambda: pr.enumerate_runs(lambda src: run(Recorder(src, lambda state: None)))),
+    }
+    assert len(errors) == 1 and next(iter(errors))[0] is error
+
+
+def fingerprint(state):
+    reg = state.reg
+    return (state.stage, state.t_count, state.bit, tuple(state.rows), tuple(reg.names),
+            tuple(reg.owners.items()), id(reg.vec), reg.pending, len(state.tr.events))
+
+
+class RuleCheck(pr.OutcomeSource):
+    """An observer that checks ``OutcomeSource``'s rule for staged protocols.
+
+    A state offered to ``checkpoint`` must be as it was offered at the next
+    draw, unless it is offered again first, and the last one offered must be
+    as it was when the protocol returns.
+    """
+
+    def __init__(self, source):
+        self.source, self.offered = source, None
+
+    def unchanged(self):
+        if self.offered is not None:
+            state, seen = self.offered
+            assert fingerprint(state) == seen, seen[0]
+
+    def draw(self, label, probs):
+        self.unchanged()
+        self.offered = None
+        return self.source.draw(label, probs)
+
+    def checkpoint(self, state):
+        self.offered = (state, fingerprint(state))
+
+
+@pytest.mark.parametrize("programs, cz_after", BENCH_PROGRAMS[:3])
+def test_pmqc_leaves_offered_states_as_they_are(programs, cz_after):
+    psi = qk.random_state((2,) * len(programs), np.random.default_rng(27))
+
+    def run(src):
+        check = RuleCheck(src)
+        pr.pmqc_run(psi, programs, cz_after, source=check)
+        check.unchanged()
+        return check.offered is not None      # the last stage was offered
+
+    assert all(last for _, last in pr.enumerate_runs(run))
+
+
+def test_a_draw_after_the_owner_ends_matches_the_oracle(enumerations):
+    # The owner's last checkpoint is copied only when the PR-box draw after
+    # the run forks, and its forks resume the owner at its end.
+    psi = qk.random_state((2,), np.random.default_rng(28))
+
+    def run_then_draw(src):
+        res = pr.pmqc_run(psi, [["H"]], source=src)
+        return res, pr.pr_box_call(pr.PRBox(9), 1, 1, source=src)
+
+    pr.enumerate_runs(run_then_draw)
+    assert_same_as_oracle(enumerations)
+    assert len(enumerations[0][0]) == 32
+
+
 def test_leaves_share_no_transcript_or_output():
     runs = pr.enumerate_runs(lambda src: pr.pmqc_run(
         qk.plus_state(2), [["H", "H"]], source=src))
